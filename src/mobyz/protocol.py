@@ -8,6 +8,11 @@ low, which is what lets all honest processors converge.
 Thresholds count received messages against multiples of `fault_unit`: the
 per-round fault bound m for the bare protocol, m*K when the protocol is run
 over a multi-round communication scheme.
+
+The honest rule is stated once, in `histogram_update`, over how many
+received pairs carried each value as their high and as their medium half,
+plus the high half received from the pivot. `round_update` is its adapter
+for an explicit list of n received pairs.
 """
 
 from __future__ import annotations
@@ -80,6 +85,68 @@ def _summary(support: frozenset) -> Value:
     return next(iter(support))
 
 
+def histogram_update(
+    self_id: int,
+    state: ProcessorState,
+    high_counts: dict,
+    medium_counts: dict,
+    pivot_high,
+    r: int,
+    params: ProtocolParams,
+) -> ProcessorState:
+    """The honest update for round r >= 2, stated over what was received.
+
+    high_counts/medium_counts map each value to how many of the n received
+    pairs carried it as their high/medium half (values absent from a map
+    were never received). pivot_high is the high half received from the
+    round's pivot, or None when the pivot index exceeds n. Pure: identical
+    inputs give identical outputs.
+    """
+    n, unit = params.n, params.fault_unit
+    if r < 2:
+        raise ValueError("the round update applies from round 2 on")
+
+    # decision: a value carried by all but at most 2*unit of the highs
+    decided = state.decided
+    qualifying = [x for x, c in high_counts.items() if c >= n - 2 * unit]
+    if len(qualifying) > 1:
+        # impossible for counts of n messages once n > 4u
+        raise ValueError(
+            f"values {sorted(map(str, qualifying))} all reach n-2u={n - 2 * unit}: "
+            f"the counts do not describe {n} messages"
+        )
+    if qualifying:
+        decided = qualifying[0]
+
+    pivot = pivot_index(r)
+    own_threshold = 3 * unit if self_id == pivot else 4 * unit
+
+    # the pivot's high may also qualify on medium-half backing (its own
+    # value or MANY); candidates are only values someone sent as a high
+    pivot_backing = -1
+    if pivot_high is not None and pivot_high != EMPTY:
+        pivot_backing = medium_counts.get(pivot_high, 0)
+        if pivot_high != MANY:
+            pivot_backing += medium_counts.get(MANY, 0)
+
+    def supported(threshold: int) -> frozenset:
+        out = {x for x, c in high_counts.items() if c > threshold and x != EMPTY}
+        if pivot_backing > threshold:
+            out.add(pivot_high)
+        return frozenset(out)
+
+    high_set = supported(own_threshold)
+    medium_set = high_set if self_id == pivot else supported(2 * unit)
+
+    return ProcessorState(
+        high=_summary(high_set),
+        medium=_summary(medium_set),
+        high_set=high_set,
+        medium_set=medium_set,
+        decided=decided,
+    )
+
+
 def round_update(
     self_id: int,
     state: ProcessorState,
@@ -90,50 +157,20 @@ def round_update(
     """One honest update for round r >= 2 from exactly n received pairs.
 
     received[i-1] is the pair from processor i (everyone sends, self
-    included). Pure: identical inputs give identical outputs.
+    included). Counts the pairs and applies `histogram_update`.
     """
-    n, unit = params.n, params.fault_unit
+    n = params.n
     if len(received) != n:
         raise ValueError(f"expected {n} messages, got {len(received)}")
     if r < 2:
         raise ValueError("round_update applies from round 2 on")
-
-    highs = [msg.high for msg in received]
-    mediums = [msg.medium for msg in received]
-    high_counts = Counter(highs)
-
-    # decision: a value carried by all but at most 2*unit of the highs
-    decided = state.decided
-    qualifying = [x for x, c in high_counts.items() if c >= n - 2 * unit]
-    # two values cannot both clear n-2u senders once n > 4u
-    assert len(qualifying) <= 1 or n <= 4 * unit
-    if qualifying:
-        decided = qualifying[0]
-
     pivot = pivot_index(r)
-    pivot_high = highs[pivot - 1] if pivot <= n else None
-    own_threshold = 3 * unit if self_id == pivot else 4 * unit
-
-    # candidates can only be values someone actually sent as a high
-    candidates = sorted(set(highs) - {EMPTY}, key=Value.sort_key)
-
-    def member(x: Value, threshold: int) -> bool:
-        if pivot_high is not None and pivot_high == x:
-            backing = sum(1 for b in mediums if b == x or b == MANY)
-            if backing > threshold:
-                return True
-        return high_counts[x] > threshold
-
-    high_set = frozenset(x for x in candidates if member(x, own_threshold))
-    if self_id == pivot:
-        medium_set = high_set
-    else:
-        medium_set = frozenset(x for x in candidates if member(x, 2 * unit))
-
-    return ProcessorState(
-        high=_summary(high_set),
-        medium=_summary(medium_set),
-        high_set=high_set,
-        medium_set=medium_set,
-        decided=decided,
+    return histogram_update(
+        self_id,
+        state,
+        Counter(msg.high for msg in received),
+        Counter(msg.medium for msg in received),
+        received[pivot - 1].high if pivot <= n else None,
+        r,
+        params,
     )

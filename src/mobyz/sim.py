@@ -13,10 +13,19 @@ Three protocol modes:
   relay   — sticky value diffusion on an arbitrary graph (adopt the first /
             most frequent value heard, then repeat it); the deterministic
             honest behavior used by the impossibility scenario pairs.
+
+In bare rounds r >= 2 every honest processor broadcasts one identical pair,
+so the engine counts the honest emissions once per round and corrects each
+recipient's counts only for the payloads forged to it by the <= m controlled
+senders; the honest rule is then applied to those histograms
+(`protocol.histogram_update`). The per-link `sent` table is built only for
+full traces. Lifted rounds decode one pair per link and use the list
+adapter `protocol.round_update`, which reaches the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -36,14 +45,18 @@ from .graphs import Network
 from .protocol import (
     ProtocolParams,
     first_round_state,
+    histogram_update,
     honest_emit,
+    pivot_index,
     round_update,
     termination_round,
 )
 
 
 class StrategyViolation(Exception):
-    """The adversary broke its capability contract (|controlled| > m)."""
+    """The adversary broke its capability contract: more than m controlled,
+    an unknown processor id, an unfilled or mistyped forged slot, or a
+    planted state that is not a ProcessorState."""
 
 
 # --- relay mode: sticky value diffusion ------------------------------------
@@ -125,6 +138,12 @@ class Scenario:
 SOURCE = 1
 
 
+@functools.cache
+def _value_choices(alphabet_size: int) -> tuple:
+    """What a random payload value is drawn from, in draw order."""
+    return tuple(Value.plain(i) for i in range(alphabet_size)) + (EMPTY, MANY)
+
+
 @dataclass
 class StepContext:
     """What adversary hooks get to see: the full run so far, never less."""
@@ -141,9 +160,7 @@ class StepContext:
         return self._slots.get(pid, [])
 
     def random_value(self) -> Value:
-        choices = [Value.plain(i) for i in range(self.scenario.alphabet_size)]
-        choices += [EMPTY, MANY]
-        return self.rng.choice(choices)
+        return self.rng.choice(_value_choices(self.scenario.alphabet_size))
 
     def random_payload(self):
         if self.payload_kind == "value":
@@ -179,12 +196,30 @@ def _controlled(strategy, ctx) -> frozenset:
 
 def _forged(strategy, ctx, pid) -> dict:
     payloads = strategy.forge(ctx, pid)
-    missing = [q for q in ctx.slots(pid) if q not in payloads]
+    slots = ctx.slots(pid)
+    missing = [q for q in slots if q not in payloads]
     if missing:
         raise StrategyViolation(
             f"round {ctx.round}: strategy left slots {missing} of {pid} unfilled"
         )
+    expected = Value if ctx.payload_kind == "value" else PairMessage
+    for q in slots:
+        if not isinstance(payloads[q], expected):
+            raise StrategyViolation(
+                f"round {ctx.round}: {pid} forged {payloads[q]!r} for slot {q}, "
+                f"not a {expected.__name__}"
+            )
     return payloads
+
+
+def _rewritten(strategy, ctx, pid) -> ProcessorState:
+    state = strategy.rewrite(ctx, pid)
+    if not isinstance(state, ProcessorState):
+        raise StrategyViolation(
+            f"round {ctx.round}: rewrite of {pid} returned {state!r}, "
+            f"not a ProcessorState"
+        )
+    return state
 
 
 def run(scenario: Scenario) -> Trace:
@@ -200,68 +235,83 @@ def _run_flat(scenario: Scenario) -> Trace:
     strategy = scenario.strategy
     rng = random.Random(scenario.seed)
     trace = Trace(n=n)
+    full = scenario.trace_level == "full"
+    bare = scenario.mode == "bare"
     states = {p: ProcessorState() for p in g.vertices}
+    if bare:
+        everyone = list(g.vertices)  # one slot list shared by every sender
+        first_slots = {SOURCE: everyone}
+        pair_slots = dict.fromkeys(g.vertices, everyone)
+    else:
+        first_slots = {SOURCE: sorted(g.neighbors(SOURCE))}
+        pair_slots = {p: sorted(g.neighbors(p)) for p in g.vertices}
 
     for r in range(1, scenario.rounds + 1):
-        if r == 1:
-            if scenario.mode == "bare":
-                slots = {SOURCE: list(g.vertices)}
-            else:
-                slots = {SOURCE: sorted(g.neighbors(SOURCE))}
-            kind = "value"
-        else:
-            if scenario.mode == "bare":
-                slots = {p: list(g.vertices) for p in g.vertices}
-            else:
-                slots = {p: sorted(g.neighbors(p)) for p in g.vertices}
-            kind = "pair"
+        slots = first_slots if r == 1 else pair_slots
+        kind = "value" if r == 1 else "pair"
         ctx = StepContext(scenario, r, dict(states), trace, rng, kind, slots)
         controlled = _controlled(strategy, ctx)
+        forged = {p: _forged(strategy, ctx, p) for p in sorted(controlled) if p in slots}
+        if r == 1:
+            emitted = {SOURCE: scenario.source_value}
+        else:
+            emitted = {p: honest_emit(states[p], r) for p in slots if p not in controlled}
+        histograms = bare and r >= 2
 
         sent = {}
-        for p in sorted(slots):
-            if p in controlled:
-                payloads = _forged(strategy, ctx, p)
+        if full or not histograms:
+            for p in sorted(slots):
                 for q in slots[p]:
-                    sent[(p, q)] = payloads[q]
-            else:
-                if r == 1:
-                    payload = scenario.source_value
-                else:
-                    payload = honest_emit(states[p], r)
-                for q in slots[p]:
-                    sent[(p, q)] = payload
+                    sent[(p, q)] = forged[p][q] if p in forged else emitted[p]
+
+        if histograms:
+            # honest senders broadcast one pair, so count their emissions once
+            # and correct each recipient for the forged payloads only
+            high_base, medium_base = {}, {}
+            for msg in emitted.values():
+                high_base[msg.high] = high_base.get(msg.high, 0) + 1
+                medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
+            pivot = pivot_index(r)
+            pivot_emission = emitted.get(pivot)
 
         new_states = {}
         for p in g.vertices:
             if p in controlled:
-                new_states[p] = strategy.rewrite(ctx, p)
-                continue
-            if scenario.mode == "bare":
-                if r == 1:
-                    new_states[p] = first_round_state(sent[(SOURCE, p)])
+                new_states[p] = _rewritten(strategy, ctx, p)
+            elif histograms:
+                high_counts, medium_counts = dict(high_base), dict(medium_base)
+                for payloads in forged.values():
+                    msg = payloads[p]
+                    high_counts[msg.high] = high_counts.get(msg.high, 0) + 1
+                    medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
+                if pivot > n:
+                    pivot_high = None
+                elif pivot_emission is None:
+                    pivot_high = forged[pivot][p].high
                 else:
-                    received = [sent[(i, p)] for i in g.vertices]
-                    new_states[p] = round_update(
-                        p, states[p], received, r, scenario.params
-                    )
+                    pivot_high = pivot_emission.high
+                new_states[p] = histogram_update(
+                    p, states[p], high_counts, medium_counts, pivot_high, r,
+                    scenario.params,
+                )
+            elif bare:
+                new_states[p] = first_round_state(sent[(SOURCE, p)])
+            elif r == 1:
+                if p == SOURCE:
+                    new_states[p] = relay_adopted(scenario.source_value)
+                elif (SOURCE, p) in sent and sent[(SOURCE, p)] != EMPTY:
+                    new_states[p] = relay_adopted(sent[(SOURCE, p)])
+                else:
+                    new_states[p] = states[p]
             else:
-                if r == 1:
-                    if p == SOURCE:
-                        new_states[p] = relay_adopted(scenario.source_value)
-                    elif (SOURCE, p) in sent and sent[(SOURCE, p)] != EMPTY:
-                        new_states[p] = relay_adopted(sent[(SOURCE, p)])
-                    else:
-                        new_states[p] = states[p]
-                else:
-                    received = {i: sent[(i, p)] for i in g.neighbors(p)}
-                    new_states[p] = relay_update(states[p], received)
+                received = {i: sent[(i, p)] for i in g.neighbors(p)}
+                new_states[p] = relay_update(states[p], received)
         states = new_states
         trace.append(
             RoundTrace(
                 round=r,
                 controlled=controlled,
-                sent=sent if scenario.trace_level == "full" else {},
+                sent=sent if full else {},
                 states_after=dict(states),
             )
         )
@@ -327,7 +377,7 @@ def _run_lifted(scenario: Scenario) -> Trace:
             if lr == 1 and SOURCE in controlled:
                 source_copy[0] = corrupt(SOURCE)
             for pid in sorted(controlled):
-                states[pid] = strategy.rewrite(ctx, pid)
+                states[pid] = _rewritten(strategy, ctx, pid)
                 for key in sorted(runs):
                     if key[1] == pid:
                         runs[key].receiver_controlled(corrupt)

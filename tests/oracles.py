@@ -1,8 +1,9 @@
-"""Brute-force graph oracles, independent of the flow-based implementations."""
+"""Brute-force oracles, independent of the implementations under test: the
+per-round protocol rules and the flow-based graph queries."""
 
 import itertools
 
-from mobyz import Network
+from mobyz import EMPTY, MANY, Network
 
 
 def brute_min_separator(g, u, v):
@@ -35,3 +36,46 @@ def brute_vertex_connectivity(g):
         for v in range(u + 1, g.n + 1)
         if not g.adjacent(u, v)
     )
+
+
+# --- independent oracle: a direct transcription of the per-round rules,
+# structured around explicit per-candidate counting so it shares no code
+# with the implementation under test -----------------------------------------
+
+
+def oracle_update(self_id, prev_decided, received, r, n, m):
+    a_vals = [p.high for p in received]
+    b_vals = [p.medium for p in received]
+
+    decided = prev_decided
+    for candidate in set(a_vals):
+        disagree = sum(1 for x in a_vals if x != candidate)
+        if disagree <= 2 * m:
+            decided = candidate
+
+    f = r // 2 + 1
+
+    def qualifies(x, threshold):
+        if x == EMPTY:
+            return False
+        if f <= n and a_vals[f - 1] == x:
+            backing = sum(1 for y in b_vals if y in (x, MANY))
+            if backing > threshold:
+                return True
+        return sum(1 for y in a_vals if y == x) > threshold
+
+    if self_id == f:
+        high = {x for x in set(a_vals) if qualifies(x, 3 * m)}
+        medium = set(high)
+    else:
+        high = {x for x in set(a_vals) if qualifies(x, 4 * m)}
+        medium = {x for x in set(a_vals) if qualifies(x, 2 * m)}
+
+    def summary(s):
+        if not s:
+            return EMPTY
+        if len(s) >= 2:
+            return MANY
+        return next(iter(s))
+
+    return decided, frozenset(high), frozenset(medium), summary(high), summary(medium)

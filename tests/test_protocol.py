@@ -16,50 +16,9 @@ from mobyz import (
     termination_round,
 )
 
+from oracles import oracle_update
+
 ZERO, ONE = Value.plain(0), Value.plain(1)
-
-
-# --- independent oracle: a direct transcription of the per-round rules,
-# structured around explicit per-candidate counting so it shares no code
-# with the implementation under test -----------------------------------------
-
-
-def oracle_update(self_id, prev_decided, received, r, n, m):
-    a_vals = [p.high for p in received]
-    b_vals = [p.medium for p in received]
-
-    decided = prev_decided
-    for candidate in set(a_vals):
-        disagree = sum(1 for x in a_vals if x != candidate)
-        if disagree <= 2 * m:
-            decided = candidate
-
-    f = r // 2 + 1
-
-    def qualifies(x, threshold):
-        if x == EMPTY:
-            return False
-        if f <= n and a_vals[f - 1] == x:
-            backing = sum(1 for y in b_vals if y in (x, MANY))
-            if backing > threshold:
-                return True
-        return sum(1 for y in a_vals if y == x) > threshold
-
-    if self_id == f:
-        high = {x for x in set(a_vals) if qualifies(x, 3 * m)}
-        medium = set(high)
-    else:
-        high = {x for x in set(a_vals) if qualifies(x, 4 * m)}
-        medium = {x for x in set(a_vals) if qualifies(x, 2 * m)}
-
-    def summary(s):
-        if not s:
-            return EMPTY
-        if len(s) >= 2:
-            return MANY
-        return next(iter(s))
-
-    return decided, frozenset(high), frozenset(medium), summary(high), summary(medium)
 
 
 def run_both(self_id, state, received, r, params):

@@ -3,6 +3,7 @@ import pytest
 from mobyz import (
     EMPTY,
     NoFaults,
+    PairMessage,
     RandomizedControl,
     Scenario,
     Strategy,
@@ -188,3 +189,51 @@ def test_relay_diffusion_reaches_everyone():
     sc = Scenario(network=g, m=0, source_value=ONE, strategy=NoFaults(), mode="relay")
     trace = run(sc)
     assert all(st.decided == ONE for st in trace.final_states().values())
+
+
+class _ControlsPivotTwo(Strategy):
+    def controlled(self, ctx):
+        return frozenset({1}) if ctx.round == 1 else frozenset({2})
+
+
+def test_round_one_forgery_must_be_a_value():
+    class PairToEveryone(_ControlsPivotTwo):
+        def forge(self, ctx, pid):
+            return {q: PairMessage(ONE, ONE) for q in ctx.slots(pid)}
+
+    sc = Scenario(network=complete_network(7), m=1, source_value=ONE,
+                  strategy=PairToEveryone())
+    with pytest.raises(StrategyViolation, match=r"round 1: 1 forged .* for slot 1, not a Value"):
+        run(sc)
+
+
+def test_later_forgery_must_be_a_pair():
+    class ValueFromRoundThree(_ControlsPivotTwo):
+        def forge(self, ctx, pid):
+            if ctx.round < 3:
+                return super().forge(ctx, pid)
+            return {q: (ONE if q == 3 else PairMessage(ONE, ONE)) for q in ctx.slots(pid)}
+
+    for mode, network in (("bare", complete_network(7)),
+                          ("relay", make_two_clique_network(3, 2))):
+        sc = Scenario(network=network, m=1, source_value=ONE,
+                      strategy=ValueFromRoundThree(), mode=mode)
+        with pytest.raises(StrategyViolation,
+                           match=r"round 3: 2 forged .* for slot 3, not a PairMessage"):
+            run(sc)
+
+
+def test_planted_state_must_be_a_processor_state():
+    class PlantsAPair(_ControlsPivotTwo):
+        def rewrite(self, ctx, pid):
+            return PairMessage(ONE, ONE)
+
+    bare = Scenario(network=complete_network(7), m=1, source_value=ONE,
+                    strategy=PlantsAPair())
+    with pytest.raises(StrategyViolation, match="round 1: rewrite of 1 .* not a ProcessorState"):
+        run(bare)
+    g = complete_minus_matching(7, 1)
+    lifted = Scenario(network=g, m=1, source_value=ONE, strategy=PlantsAPair(),
+                      mode="lifted", lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=7, m=1)))
+    with pytest.raises(StrategyViolation, match="round 1: rewrite of 1 .* not a ProcessorState"):
+        run(lifted)

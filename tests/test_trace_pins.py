@@ -1,0 +1,126 @@
+"""Behaviour pin: SHA-256 digests of `Trace.to_text()` for a fixed scenario set.
+
+Every trace is a pure function of its scenario, so an engine refactor or
+speedup that keeps behaviour must keep these digests. A change that alters
+the RNG draw order or any recorded field has to update them and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from mobyz import (
+    RandomizedControl,
+    Scenario,
+    ScheduledControl,
+    Value,
+    complete_minus_matching,
+    complete_network,
+    cut_set_pair,
+    five_set_pair,
+    lift,
+    make_two_clique_network,
+    run,
+    two_round_scheme,
+)
+from mobyz.adversary import CounterfactualBehavior
+from mobyz.protocol import ProtocolParams
+
+ZERO, ONE = Value.plain(0), Value.plain(1)
+
+
+def _bare_random(n, m, seed, level):
+    return Scenario(
+        network=complete_network(n),
+        m=m,
+        source_value=ONE,
+        strategy=RandomizedControl(),
+        seed=seed,
+        trace_level=level,
+    )
+
+
+def _bare_counterfactual(level):
+    # two liars per round replaying the source-0 world, sliding so the pivot
+    # and the source are each controlled in some rounds
+    n, m = 13, 2
+    schedule = {r: {(r % n) + 1, ((r + 5) % n) + 1} for r in range(1, 2 * n + 1)}
+    return Scenario(
+        network=complete_network(n),
+        m=m,
+        source_value=ONE,
+        strategy=ScheduledControl(schedule, CounterfactualBehavior(ZERO)),
+        seed=1,
+        trace_level=level,
+    )
+
+
+def _lifted_two_round():
+    g = complete_minus_matching(13, 6)
+    return Scenario(
+        network=g,
+        m=1,
+        source_value=ONE,
+        strategy=RandomizedControl(),
+        mode="lifted",
+        lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1)),
+        seed=7,
+        trace_level="full",
+    )
+
+
+def _five_set(which):
+    pair = five_set_pair(n=5, m=1)
+    return pair.scenario_a if which == "a" else pair.scenario_b
+
+
+def _cut_set(which):
+    pair = cut_set_pair(make_two_clique_network(4, 4), 1, [9, 10, 11, 12], observer=5, m=1)
+    return pair.scenario_a if which == "a" else pair.scenario_b
+
+
+SCENARIOS = {
+    "bare-7-random-states": lambda: _bare_random(7, 1, 3, "states"),
+    "bare-7-random-full": lambda: _bare_random(7, 1, 3, "full"),
+    "bare-13-random-states": lambda: _bare_random(13, 2, 11, "states"),
+    "bare-13-random-full": lambda: _bare_random(13, 2, 11, "full"),
+    "bare-25-random-states": lambda: _bare_random(25, 4, 5, "states"),
+    "bare-25-random-full": lambda: _bare_random(25, 4, 5, "full"),
+    "bare-13-counterfactual-states": lambda: _bare_counterfactual("states"),
+    "bare-13-counterfactual-full": lambda: _bare_counterfactual("full"),
+    "lifted-two-round-13-full": _lifted_two_round,
+    "five-set-5-1-a": lambda: _five_set("a"),
+    "five-set-5-1-b": lambda: _five_set("b"),
+    "cut-set-two-clique-4-4-a": lambda: _cut_set("a"),
+    "cut-set-two-clique-4-4-b": lambda: _cut_set("b"),
+}
+
+# generated on the engine before bare rounds were switched to histograms
+PINS = {
+    "bare-13-counterfactual-full": "0e190590c0e8e55267d46fe7cc5924a2ce27ea7042ff1695c0e5980790d1d60b",
+    "bare-13-counterfactual-states": "f0fd7e65e0ad0909b6dae6833b7c0c2f09b68d06ac16789baffdef372bac6f8b",
+    "bare-13-random-full": "9c1f3408c2351fd21ad7846e5658fcddc42fe03e327289a419ec8b9bd4b23d11",
+    "bare-13-random-states": "c61e8d295e8fc07b9ae6bdfff26e61d756e43ed108e515e4279c15661a2ac9b2",
+    "bare-25-random-full": "4fe4c2fd4904b9fc18224e2d1c3ff860070eaba00d44ab3f6ab3c5dd1ced9180",
+    "bare-25-random-states": "799f89859b98f1ea813a2e73bf89e2f67144aa776484b39cdd5e05614e99c90f",
+    "bare-7-random-full": "07f63cd925a5655617f5f46c67f1e39e94a5073f9ffcf079331c4e87c106da40",
+    "bare-7-random-states": "6c1bc314306a331535968c6db0de2e4c6da7ea334eb35222b2cd517516e23a41",
+    "cut-set-two-clique-4-4-a": "533312c4d0991505c39d73b7cc7524dfcc21ce11b2a33c1637f44eb53678eab2",
+    "cut-set-two-clique-4-4-b": "1c4f4d52c7f3516ce9865ac548c2766f5e1cd998f521a2ea25db0ce85e69b3db",
+    "five-set-5-1-a": "1bda9a9f2a243a9d27d611541437e7e25ea3f8d33af4a5522e5d7e9d0a767131",
+    "five-set-5-1-b": "2259211144afd3fc6161fb2d3e1a95e31ee0023f6fd4f2d6082c8a378ecee1a1",
+    "lifted-two-round-13-full": "f6c7ce385eebb24297010c12f0d50165a8acaf12bd0706f7aff41407e9b614a0",
+}
+
+
+def trace_digest(scenario) -> str:
+    return hashlib.sha256(run(scenario).to_text().encode()).hexdigest()
+
+
+def test_pin_set_is_complete():
+    assert sorted(PINS) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_digest_pinned(name):
+    assert trace_digest(SCENARIOS[name]()) == PINS[name]
