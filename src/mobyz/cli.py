@@ -9,6 +9,7 @@ vacuous, 1 a verdict failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -161,6 +162,7 @@ def parse_scenario_text(text: str, base_dir: Path):
         raise ScenarioError(f"pair: unknown kind {kind!r}")
 
     protocol = keys.get("protocol", "bare").split()
+    alphabet = integer("alphabet", keys.get("alphabet", "2"))
     lifted = None
     mode = protocol[0]
     try:
@@ -177,7 +179,6 @@ def parse_scenario_text(text: str, base_dir: Path):
                 raise ScenarioError(f"protocol: unknown scheme {protocol[1]!r}")
             from .protocol import ProtocolParams
 
-            alphabet = integer("alphabet", keys.get("alphabet", "2"))
             lifted = comms.lift(
                 scheme, ProtocolParams(n=network.n, m=m, alphabet_size=alphabet)
             )
@@ -190,7 +191,7 @@ def parse_scenario_text(text: str, base_dir: Path):
             strategy=strategy,
             mode=mode,
             lifted=lifted,
-            alphabet_size=integer("alphabet", keys.get("alphabet", "2")),
+            alphabet_size=alphabet,
             rounds=rounds,
             seed=integer("seed", keys.get("seed", "0")),
         )
@@ -319,18 +320,7 @@ def cmd_campaign(args) -> int:
     tally = {"pass": 0, "fail": 0, "vacuous": 0}
     failing = []
     for seed in seeds:
-        scenario = sim.Scenario(
-            network=base.network,
-            m=base.m,
-            source_value=base.source_value,
-            strategy=base.strategy,
-            mode=base.mode,
-            lifted=base.lifted,
-            alphabet_size=base.alphabet_size,
-            rounds=base.rounds,
-            seed=seed,
-            trace_level="states",
-        )
+        scenario = dataclasses.replace(base, seed=seed, trace_level="states")
         verdict = sim.check_agreement(sim.run(scenario), scenario)
         if not verdict.ok:
             tally["fail"] += 1

@@ -4,6 +4,19 @@ Vertices are 1-based processor ids. Disjoint-path computation uses
 unit-vertex-capacity max flow with a fixed smallest-vertex-first augmentation
 order, so every party derives the identical "pre-agreed" path system with no
 communication.
+
+The connectivity queries run only the flows their answers need.
+`vertex_connectivity` follows Esfahanian and Hakimi ("On computing the
+connectivities of graphs and digraphs", 1984): with v a smallest-id vertex of
+minimum degree, every minimum separator either misses v, and then separates v
+from a non-neighbour, or contains v, and then separates two non-adjacent
+neighbours of v, so only those pairs get a flow. The min-queries cap each
+pair at the best count found so far: a flow that stops below its cap is a
+maximum flow, and one that reaches it cannot improve the minimum. A pair
+whose common neighbours (plus the direct edge) already reach the cap gets
+no flow at all. Capping only cuts augmentation short, so every flow that
+runs to the end, and with it every `disjoint_paths` system and separator
+certificate, is the one an uncapped search finds.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ class Network:
             adj[v].add(u)
         self.n = n
         self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+        self._sorted_adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
 
     @property
     def vertices(self):
@@ -34,6 +48,9 @@ class Network:
 
     def neighbors(self, v: int) -> frozenset:
         return self._adj[v]
+
+    def sorted_neighbors(self, v: int) -> tuple:
+        return self._sorted_adj[v]
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
@@ -124,6 +141,11 @@ def common_neighbors(g: Network, u: int, v: int) -> frozenset:
 #   edge_flow: set of directed (a, b) arcs carrying one unit (vertex
 #              capacities keep every edge at one unit or less)
 #   through:   set of vertices whose in->out arc carries one unit
+# Every vertex in `through` has exactly one unit in and one out, so the edge
+# flow alone spells the paths. An augmenting path that pushes a unit against
+# an edge already carrying one the other way closes a two-vertex circulation;
+# it is dropped whole, edge unit and both vertex passages, so no passage is
+# left without edges to block later augmenting paths.
 # Augmenting paths start at ("out", s) and end at ("in", t), found by DFS
 # exploring neighbors smallest-first for determinism.
 
@@ -132,7 +154,7 @@ def _residual_successors(g, node, through, edge_flow, s, t):
     side, v = node
     succs = []
     if side == "out":
-        for w in sorted(g.neighbors(v)):
+        for w in g.sorted_neighbors(v):
             if (v, w) == (s, t) and (s, t) in edge_flow:
                 continue
             succs.append(("in", w))
@@ -141,7 +163,7 @@ def _residual_successors(g, node, through, edge_flow, s, t):
     else:
         if v not in through:
             succs.append(("out", v))
-        for w in sorted(g.neighbors(v)):
+        for w in g.sorted_neighbors(v):
             if (w, v) in edge_flow:
                 succs.append(("out", w))  # cancel incoming edge flow
     return succs
@@ -173,7 +195,10 @@ def _augment(g: Network, s: int, t: int, through: set, edge_flow: set) -> bool:
     for a, b in zip(path, path[1:]):
         if a[0] == "out" and b[0] == "in" and a[1] != b[1]:
             if (b[1], a[1]) in edge_flow:
+                # opposite units on one edge close the circulation
+                # a -> b -> a through both vertices: drop all of it
                 edge_flow.discard((b[1], a[1]))
+                through.difference_update((a[1], b[1]))
             else:
                 edge_flow.add((a[1], b[1]))
         elif a[0] == "in" and b[0] == "out" and a[1] == b[1]:
@@ -185,14 +210,26 @@ def _augment(g: Network, s: int, t: int, through: set, edge_flow: set) -> bool:
     return True
 
 
-def _max_disjoint_flow(g: Network, s: int, t: int):
-    """Maximum internally-disjoint s-t path count, with the final flow state."""
+def _max_disjoint_flow(g: Network, s: int, t: int, limit=None):
+    """Maximum internally-disjoint s-t path count, with the final flow state.
+
+    With a `limit`, augmenting stops once the count reaches it; a count below
+    the limit is still the maximum, and its flow a maximum flow.
+    """
     through: set = set()
     edge_flow: set = set()
     count = 0
-    while _augment(g, s, t, through, edge_flow):
+    while (limit is None or count < limit) and _augment(g, s, t, through, edge_flow):
         count += 1
     return count, through, edge_flow
+
+
+def _capped_count(g: Network, s: int, t: int, cap: int) -> int:
+    """min(cap, s-t disjoint-path count), with no flow when the paths through
+    common neighbours, plus the direct edge, already reach the cap."""
+    if len(common_neighbors(g, s, t)) + g.adjacent(s, t) >= cap:
+        return cap
+    return _max_disjoint_flow(g, s, t, cap)[0]
 
 
 def local_connectivity(g: Network, u: int, v: int) -> int:
@@ -205,43 +242,62 @@ def local_connectivity(g: Network, u: int, v: int) -> int:
 def vertex_connectivity(g: Network) -> int:
     """Minimum over non-adjacent pairs of the u-v disjoint-path count.
 
+    Flows run only from a smallest-id vertex v of minimum degree to its
+    non-neighbours and between its non-adjacent neighbours (see the module
+    docstring), starting from the bound min degree on non-complete graphs.
     Complete graphs yield n-1; disconnected graphs yield 0.
     """
     if g.n < 2:
         raise ValueError("connectivity needs at least two vertices")
     if g.is_complete():
         return g.n - 1
-    best = g.n - 1
-    for u in g.vertices:
-        for v in range(u + 1, g.n + 1):
-            if not g.adjacent(u, v):
-                best = min(best, local_connectivity(g, u, v))
-                if best == 0:
-                    return 0
+    best = min_degree(g)
+    v = next(w for w in g.vertices if g.degree(w) == best)
+    around = g.sorted_neighbors(v)
+    pairs = [(v, w) for w in g.vertices if w != v and not g.adjacent(v, w)]
+    pairs += [
+        (a, b) for i, a in enumerate(around) for b in around[i + 1:] if not g.adjacent(a, b)
+    ]
+    for a, b in pairs:
+        best = _capped_count(g, a, b, best)
     return best
 
 
 def local_connectivity_avoiding_source(g: Network, s: int) -> int:
     """min over p != s of the s-p disjoint-path count; <= 4m certifies the
-    impossibility hypothesis when the minimizing pair admits a separator."""
+    impossibility hypothesis when the minimizing pair admits a separator.
+
+    Non-neighbours of s come first, so their low counts cap the later pairs;
+    no count exceeds the degree of s.
+    """
     if g.n < 3:
         raise ValueError("needs at least three vertices")
-    return min(local_connectivity(g, s, p) for p in g.vertices if p != s)
+    order = sorted((p for p in g.vertices if p != s), key=lambda p: g.adjacent(s, p))
+    best = g.degree(s)
+    for p in order:
+        best = _capped_count(g, s, p, best)
+    return best
 
 
 def min_separator_certificate(g: Network, s: int):
     """Smallest separator avoiding s, as (size, cut, separated vertex).
 
     Only pairs (s, p) with p not adjacent to s admit separators; returns None
-    when s is adjacent to every other vertex. The cut comes from the max-flow
-    residual: vertices with in-node reachable from s but out-node not.
+    when s is adjacent to every other vertex. The separated vertex is the
+    first in vertex order with the smallest count; only a smaller count
+    replaces it, so each later pair is capped at the best count so far.
+    The cut comes from the max-flow residual: vertices with in-node reachable
+    from s but out-node not.
     """
     best = None
     for p in g.vertices:
         if p == s or g.adjacent(s, p):
             continue
-        count, through, edge_flow = _max_disjoint_flow(g, s, p)
-        if best is None or count < best[0]:
+        limit = None if best is None else best[0]
+        if limit is not None and len(common_neighbors(g, s, p)) >= limit:
+            continue
+        count, through, edge_flow = _max_disjoint_flow(g, s, p, limit)
+        if limit is None or count < limit:
             best = (count, through, edge_flow, p)
     if best is None:
         return None
@@ -251,7 +307,11 @@ def min_separator_certificate(g: Network, s: int):
         v for v in g.vertices
         if v not in (s, p) and ("in", v) in reach and ("out", v) not in reach
     )
-    assert len(cut) == count and not g.connected_avoiding(s, p, cut)
+    if len(cut) != count or g.connected_avoiding(s, p, cut):
+        raise RuntimeError(
+            f"residual cut {sorted(cut)} is no separator of size {count} "
+            f"between {s} and {p}"
+        )
     return count, cut, p
 
 

@@ -111,6 +111,11 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.source_value.is_plain:
             raise ValueError("the source value must be a plain symbol")
+        if self.source_value.symbol >= self.alphabet_size:
+            raise ValueError(
+                f"source value {self.source_value} lies outside the alphabet "
+                f"0..{self.alphabet_size - 1}"
+            )
         if self.mode == "bare":
             if not self.network.is_complete():
                 raise ValueError("the bare protocol requires a complete network")
@@ -125,6 +130,12 @@ class Scenario:
             self.params = self.lifted.params
             if self.rounds is None:
                 self.rounds = self.lifted.physical_rounds
+            elif self.rounds != self.lifted.physical_rounds:
+                raise ValueError(
+                    f"a lifted run takes {self.lifted.physical_rounds} physical "
+                    f"rounds (2n logical rounds of T); rounds = {self.rounds} "
+                    f"cannot be honoured"
+                )
         else:
             self.params = None
             if self.rounds is None:

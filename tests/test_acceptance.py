@@ -256,11 +256,9 @@ def test_criterion_8_lifted_protocol_campaign():
     )
 
 
-def test_criterion_9_graph_oracle_equivalence():
+def _connected_atlas():
     nx = pytest.importorskip("networkx")
     from networkx.generators.atlas import graph_atlas_g
-
-    from oracles import brute_local_connectivity, brute_vertex_connectivity
 
     catalog = []
     for G in graph_atlas_g():
@@ -270,7 +268,13 @@ def test_criterion_9_graph_oracle_equivalence():
         edges = [(a + 1, b + 1) for a, b in G.edges()]
         catalog.append(graphs.Network(n, edges))
     assert len(catalog) == 995  # all connected graphs on 2..7 vertices
+    return catalog
 
+
+def test_criterion_9_graph_oracle_equivalence():
+    from oracles import brute_local_connectivity, brute_vertex_connectivity
+
+    catalog = _connected_atlas()
     mismatches = 0
     for g in catalog:
         if graphs.vertex_connectivity(g) != brute_vertex_connectivity(g):
@@ -288,6 +292,31 @@ def test_criterion_9_graph_oracle_equivalence():
         mismatches == 0,
         f"connectivity vs brute-force separator search on all {len(catalog)} "
         f"connected graphs with <= 7 vertices: {mismatches} mismatches",
+    )
+
+
+def test_criterion_9_separator_certificate_oracle():
+    from oracles import brute_min_separator
+
+    catalog = _connected_atlas()
+    mismatches = 0
+    for g in catalog:
+        far = [p for p in range(2, g.n + 1) if not g.adjacent(1, p)]
+        cert = graphs.min_separator_certificate(g, 1)
+        if not far:
+            mismatches += cert is not None
+            continue
+        size, cut, p = cert
+        brute = [brute_min_separator(g, 1, q) for q in far]
+        if (size != min(brute) or p != far[brute.index(size)] or len(cut) != size
+                or 1 in cut or g.connected_avoiding(1, p, cut)):
+            mismatches += 1
+    report(
+        9,
+        mismatches == 0,
+        f"source-avoiding separator certificate vs brute-force separator search "
+        f"on all {len(catalog)} connected graphs with <= 7 vertices: "
+        f"{mismatches} mismatches",
     )
 
 

@@ -54,6 +54,24 @@ def test_run_reports_missing_keys(tmp_path, capsys):
     assert "m" in err
 
 
+def test_run_rejects_lifted_rounds_it_cannot_honour(tmp_path, capsys):
+    scenario = write(
+        tmp_path,
+        "lifted.txt",
+        "network = two-clique 4 5\nm = 1\nprotocol = lifted two-round\nrounds = 10\n",
+    )
+    code, _, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert "52 physical rounds" in err
+
+
+def test_run_rejects_source_value_outside_the_alphabet(tmp_path, capsys):
+    scenario = write(tmp_path, "bad.txt", BASELINE + "source-value = 5\n")
+    code, _, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert "outside the alphabet" in err
+
+
 def test_run_five_set_pair_file(tmp_path, capsys):
     scenario = write(tmp_path, "pair.txt", "network = complete 5\nm = 1\npair = five-set\n")
     code, stdout, _ = invoke(capsys, "run", scenario)

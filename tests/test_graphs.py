@@ -1,7 +1,13 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mobyz
 from mobyz import (
     Network,
     common_neighbors,
@@ -9,6 +15,8 @@ from mobyz import (
     complete_network,
     cycle_network,
     disjoint_paths,
+    flood_scheme,
+    graphs,
     local_connectivity,
     local_connectivity_avoiding_source,
     make_two_clique_network,
@@ -182,3 +190,169 @@ def test_edge_list_isolated_vertices_and_errors():
         read_edge_list("1 two\n")
     with pytest.raises(ValueError):
         read_edge_list("")
+
+
+# --- connectivity against networkx and a flow-identity pin ---------------------
+
+
+def _relabelled(g, rng):
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    label = dict(zip(g.vertices, perm))
+    return Network(g.n, [(label[a], label[b]) for a, b in g.edges()])
+
+
+def _pivot_in_every_separator():
+    """Cliques 2..6 and 7..11 joined through {1, 12, 13}. Vertex 1 ties for
+    the minimum degree 6 and sits in every 3-vertex separator, so only the
+    flows between its non-adjacent neighbours find kappa = 3: its own flows
+    to non-neighbours all give at least 5."""
+    A, B = range(2, 7), range(7, 12)
+    edges = {(a, b) for side in (A, B) for a in side for b in side if a < b}
+    edges |= {(x, s) for s in (12, 13) for x in range(2, 12)} | {(12, 13)}
+    edges |= {(1, x) for x in (2, 3, 4, 7, 8, 9)}
+    return Network(13, edges)
+
+
+def test_vertex_connectivity_when_the_pivot_is_in_every_separator():
+    g = _pivot_in_every_separator()
+    assert min_degree(g) == g.degree(1) == 6
+    assert min(local_connectivity(g, 1, w) for w in (5, 6, 10, 11, 12, 13)) == 5
+    assert vertex_connectivity(g) == 3
+
+
+def _differential_catalogue():
+    """Seeded random graphs on 8..30 vertices, plus seeded relabellings of
+    the extremal constructions and of the graph above (the
+    Esfahanian-Hakimi pivot depends on labels)."""
+    rng = random.Random(20240)
+    catalogue = []
+    for _ in range(40):
+        n = rng.randint(8, 30)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+        catalogue.append(Network(n, [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+        ]))
+    for build, *args in ((make_two_clique_network, 4, 4), (make_two_clique_network, 5, 9),
+                         (make_two_clique_network, 8, 4), (make_two_clique_network, 10, 8),
+                         (complete_minus_matching, 13, 6), (complete_minus_matching, 19, 9),
+                         (complete_minus_matching, 24, 3), (_pivot_in_every_separator,)):
+        g = build(*args)
+        catalogue.append(g)
+        catalogue += [_relabelled(g, rng) for _ in range(3)]
+    return catalogue
+
+
+def _as_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges())
+    return G
+
+
+def test_vertex_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _differential_catalogue():
+        assert vertex_connectivity(g) == nx.node_connectivity(_as_networkx(g)), g.edges()
+
+
+def test_separator_certificate_matches_networkx():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(4)
+    for g in _differential_catalogue():
+        G = _as_networkx(g)
+        for s in sorted({1, rng.randint(1, g.n)}):
+            far = [p for p in g.vertices if p != s and not g.adjacent(s, p)]
+            cert = min_separator_certificate(g, s)
+            if not far:
+                assert cert is None
+                continue
+            size, cut, p = cert
+            assert size == min(local_node_connectivity(G, s, q) for q in far)
+            assert len(cut) == size and s not in cut and p in far
+            assert not g.connected_avoiding(s, p, cut)
+
+
+def test_max_flow_leaves_no_passage_without_edges():
+    # The first path is 1-2-8-6-3-10. The second, 1-4-3-6-8-2-9-10 in the
+    # residual graph, pushes a unit from 6 to 8 while 8 still sends one to 6.
+    # That closes the circulation 6-8-6, which must go with both vertex
+    # passages: kept as passing flow with no edges, 6 and 8 block the third
+    # path, through 7, and the count comes out 2 with a failing certificate.
+    g = Network(10, [(1, 2), (1, 4), (1, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6),
+                     (3, 9), (3, 10), (4, 5), (5, 10), (6, 7), (6, 8), (7, 8), (8, 9),
+                     (9, 10)])
+    count, through, edge_flow = graphs._max_disjoint_flow(g, 1, 10)
+    assert count == 3
+    assert through == {a for a, _ in edge_flow if a != 1}
+    assert disjoint_paths(g, 1, 10, 3).paths == (
+        (1, 2, 9, 10), (1, 4, 5, 10), (1, 7, 6, 3, 10),
+    )
+    assert vertex_connectivity(g) == 3
+    assert min_separator_certificate(g, 1) == (3, frozenset({2, 4, 7}), 3)
+
+
+def _flood_plans_text():
+    g = make_two_clique_network(5, 9)
+    scheme = flood_scheme(g, 1, 9)
+    lines = []
+    for u in g.vertices:
+        for v in g.vertices:
+            routes = " ".join(
+                "-".join(map(str, r.path)) + "@" + ",".join(map(str, r.inject_rounds))
+                for r in scheme.plan(u, v).routes
+            )
+            lines.append(f"{u} {v}: {routes}")
+    return "\n".join(lines) + "\n"
+
+
+def _all_disjoint_paths_text(g):
+    lines = []
+    for u in g.vertices:
+        for v in g.vertices:
+            if u != v and not g.adjacent(u, v):
+                system = disjoint_paths(g, u, v, local_connectivity(g, u, v))
+                lines.append(f"{u} {v}: " + " ".join("-".join(map(str, p)) for p in system.paths))
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the texts above, generated before the connectivity queries were
+# capped: every pre-agreed route must stay the same.
+FLOW_PINS = {
+    "flood two-clique 5 9 m=1 kappa=9": (
+        _flood_plans_text,
+        "f2f773e52ec496cdbe8429aeee3c9a0ddcfbd0a1ddae18f8fec6922140049267",
+    ),
+    "disjoint paths two-clique 8 4": (
+        lambda: _all_disjoint_paths_text(make_two_clique_network(8, 4)),
+        "d81de7f9d027ce33231f18decacf320f8f376195e38b35fe12e277dfecbb3d10",
+    ),
+    "disjoint paths cycle 12": (
+        lambda: _all_disjoint_paths_text(cycle_network(12)),
+        "395d187ff74cc33265ae99c2fe150de7499f1cbf34a135d9c02f1c5cb9f0cb11",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_PINS))
+def test_flow_identity_pin(name):
+    text, digest = FLOW_PINS[name]
+    assert hashlib.sha256(text().encode()).hexdigest() == digest
+
+
+def test_certificate_check_survives_optimized_mode():
+    src = str(Path(mobyz.__file__).resolve().parent.parent)
+    code = (
+        "from mobyz import graphs\n"
+        "graphs._reachable_in_residual = lambda g, s, t, through, edge_flow: {('out', s)}\n"
+        "try:\n"
+        "    graphs.min_separator_certificate(graphs.make_two_clique_network(4, 4), 1)\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

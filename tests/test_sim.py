@@ -39,6 +39,26 @@ def test_scenario_validation():
         Scenario(network=complete_network(7), m=1, source_value=EMPTY, strategy=NoFaults())
 
 
+def test_lifted_rounds_must_match_the_schedule():
+    g = make_two_clique_network(4, 5)
+    lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1))
+    with pytest.raises(ValueError, match="52 physical rounds"):
+        Scenario(network=g, m=1, source_value=ONE, strategy=NoFaults(),
+                 mode="lifted", lifted=lifted, rounds=10)
+    sc = Scenario(network=g, m=1, source_value=ONE, strategy=NoFaults(),
+                  mode="lifted", lifted=lifted, rounds=52)
+    assert len(run(sc).rounds) == 52
+
+
+def test_source_value_must_lie_in_the_alphabet():
+    with pytest.raises(ValueError, match="outside the alphabet 0..1"):
+        Scenario(network=complete_network(7), m=1, source_value=Value.plain(5),
+                 strategy=NoFaults())
+    sc = Scenario(network=complete_network(7), m=1, source_value=Value.plain(2),
+                  strategy=NoFaults(), alphabet_size=3)
+    assert check_agreement(run(sc), sc).agreed_value == Value.plain(2)
+
+
 def test_round_count_and_defaults():
     sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=NoFaults())
     assert sc.rounds == 14
