@@ -45,7 +45,6 @@ from .protocol import (
 from .comms import (
     CommScheme,
     LiftedProtocol,
-    TransferOutcome,
     TransferPlan,
     TransferRun,
     compute_T,

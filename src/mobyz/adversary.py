@@ -88,27 +88,46 @@ def _counterfactual_states(ctx, source_value: Value) -> list:
     return [rt.states_after for rt in run(world).rounds]
 
 
+class _Worlds:
+    """Fault-free counterfactual worlds by source value, for one scenario
+    shape at a time. A world depends on the network, mode, scheme, alphabet
+    and round count, so a strategy reused on a scenario that differs in any
+    of them recomputes its worlds instead of replaying stale ones."""
+
+    def __init__(self):
+        self._shape = None
+        self._states: dict = {}
+
+    def get(self, ctx, source_value: Value) -> list:
+        sc = ctx.scenario
+        scheme = None
+        if sc.lifted is not None:
+            s = sc.lifted.scheme
+            scheme = (s.kind, s.T, s.K, s.kappa, s.m, sc.lifted.params)
+        shape = (sc.network, sc.mode, scheme, sc.alphabet_size, sc.rounds)
+        if shape != self._shape:
+            self._shape, self._states = shape, {}
+        if source_value not in self._states:
+            self._states[source_value] = _counterfactual_states(ctx, source_value)
+        return self._states[source_value]
+
+
 class CounterfactualBehavior(Strategy):
     """Shared machinery for strategies whose lies replay a fake-source world."""
 
     def __init__(self, fake_value: Value):
         self.fake_value = fake_value
-        self._world = None
-
-    def _world_states(self, ctx):
-        if self._world is None:
-            self._world = _counterfactual_states(ctx, self.fake_value)
-        return self._world
+        self._worlds = _Worlds()
 
     def forge(self, ctx, pid):
         if ctx.round == 1:
             return {q: self.fake_value for q in ctx.slots(pid)}
-        world = self._world_states(ctx)
+        world = self._worlds.get(ctx, self.fake_value)
         payload = world[ctx.round - 2][pid].emission()
         return {q: payload for q in ctx.slots(pid)}
 
     def rewrite(self, ctx, pid):
-        return self._world_states(ctx)[ctx.round - 1][pid]
+        return self._worlds.get(ctx, self.fake_value)[ctx.round - 1][pid]
 
 
 class StaticControl(Strategy):
@@ -181,15 +200,10 @@ class GroupSplitControl(Strategy):
         self.members = members
         self.facing = facing
         self.plant_value = plant_value
-        self._worlds: dict = {}
+        self._worlds = _Worlds()
 
     def controlled(self, ctx):
         return self.members
-
-    def _world(self, ctx, value: Value):
-        if value not in self._worlds:
-            self._worlds[value] = _counterfactual_states(ctx, value)
-        return self._worlds[value]
 
     def forge(self, ctx, pid):
         out = {}
@@ -198,11 +212,11 @@ class GroupSplitControl(Strategy):
             if ctx.round == 1:
                 out[q] = value
             else:
-                out[q] = self._world(ctx, value)[ctx.round - 2][pid].emission()
+                out[q] = self._worlds.get(ctx, value)[ctx.round - 2][pid].emission()
         return out
 
     def rewrite(self, ctx, pid):
-        return self._world(ctx, self.plant_value)[ctx.round - 1][pid]
+        return self._worlds.get(ctx, self.plant_value)[ctx.round - 1][pid]
 
 
 class ScriptedStrategy(Strategy):

@@ -15,6 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .graphs import Network, common_neighbors, disjoint_paths
 from .protocol import ProtocolParams
@@ -55,6 +56,7 @@ class CommScheme:
     K: int
     kappa: int = 0  # flooding only
     _plans: dict = field(default_factory=dict, repr=False)
+    _copies: Optional["CopyIndex"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.K <= self.T:
@@ -68,6 +70,13 @@ class CommScheme:
             else:
                 self._plans[key] = flood_plan(self.network, u, v, self.m, self.kappa)
         return self._plans[key]
+
+    def copy_index(self) -> "CopyIndex":
+        """Where every transfer's copies are in each round of a logical
+        round; built on first use and then cached, like the plans."""
+        if self._copies is None:
+            self._copies = _build_copy_index(self)
+        return self._copies
 
 
 def two_round_plan(g: Network, u: int, v: int, m: int) -> TransferPlan:
@@ -171,18 +180,6 @@ class Copy:
     tainted: bool
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
-    """What the receiver ends up with: every (route, arrival round, value)
-    copy it collected, the majority-decoded value, and whether the decode had
-    to fall back past a missing strict majority (never, while the scheme's
-    preconditions hold)."""
-
-    copies: tuple
-    decoded: object
-    fell_back: bool
-
-
 @dataclass
 class TransferRun:
     """Marches copies along one plan's routes, one hop per round.
@@ -247,16 +244,199 @@ class TransferRun:
     def decode(self):
         return _decode([v for (_r, _a, v, _t) in self.collected])
 
-    def outcome(self) -> TransferOutcome:
-        decoded, fell_back = self.decode()
-        return TransferOutcome(
-            copies=tuple((r, a, v) for (r, a, v, _t) in self.collected),
-            decoded=decoded,
-            fell_back=fell_back,
-        )
-
     def tainted_count(self) -> int:
         return sum(1 for (_r, _a, _v, t) in self.collected if t)
+
+
+# --- one logical round of transfers -------------------------------------------
+#
+# Two back-ends move every sender's message to every receiver through the T
+# physical rounds of a logical round. They share one interface (step,
+# receiver_controlled, decode) and call `corrupt` in the same order; the
+# engine's loop and that order are described in the `sim` module docstring.
+# `payload(i)` is what sender i injects when asked; decode() also returns it
+# for the self transfer (i, i).
+
+
+class TransferRuns:
+    """The reference back-end: one TransferRun per ordered pair, every copy
+    marched hop by hop. It also records what full traces show — each round's
+    hops and every processor's collected copies."""
+
+    def __init__(self, scheme: CommScheme, senders, payload):
+        vertices = scheme.network.vertices
+        self.payload = payload
+        self.senders = senders
+        self.runs = {
+            (i, j): TransferRun(scheme.plan(i, j), payload_fn=lambda _t, i=i: payload(i))
+            for i in senders
+            for j in vertices
+        }
+        self.hops: dict = {}  # (holder, receiver) -> copies moved this round
+
+    def _record_hop(self, holder, receiver, plan, route_id, value) -> None:
+        self.hops.setdefault((holder, receiver), []).append(
+            {"transfer": f"{plan.sender}->{plan.receiver}", "route": route_id, "value": value}
+        )
+
+    def step(self, t: int, controlled, corrupt) -> None:
+        self.hops = {}
+        for run in self.runs.values():  # inserted in sorted (sender, receiver) order
+            run.step(t, controlled, corrupt, self._record_hop)
+
+    def receiver_controlled(self, pid: int, corrupt) -> None:
+        for i in self.senders:
+            self.runs[(i, pid)].receiver_controlled(corrupt)
+
+    def decode(self):
+        """(decoded payload per (sender, receiver), decodes that fell back)."""
+        decoded, fallbacks = {}, 0
+        for (i, j), run in self.runs.items():
+            if run.plan.is_self:
+                decoded[(i, j)] = self.payload(i)
+            else:
+                decoded[(i, j)], fell_back = run.decode()
+                fallbacks += fell_back
+        return decoded, fallbacks
+
+    def buffers(self) -> dict:
+        """Each processor's collected copies as trace records, sorted."""
+        held: dict = {}
+        for (i, j), run in self.runs.items():
+            for route_id, arrival, value, tainted in run.collected:
+                held.setdefault(j, []).append(
+                    (f"{i}->{j}", route_id, arrival, str(value), tainted)
+                )
+        return {p: tuple(sorted(copies)) for p, copies in held.items()}
+
+
+@dataclass(frozen=True)
+class CopyIndex:
+    """Every copy of every transfer of a scheme, numbered in the reference
+    order (sorted transfer, then injection round, then route), and the
+    places it visits within one logical round.
+
+    `touches[(t, v)]` lists the (order, copy, v) events of round t in which v
+    holds a copy that moves (order 2·copy) or receives one (2·copy + 1);
+    copies still in flight after round T are dropped, as TransferRun drops
+    them. `arrivals[(u, v)]` lists (arrival round, copy) for the copies that
+    reach v by round T, in arrival order.
+    """
+
+    touches: dict
+    transfer: tuple  # copy -> (sender, receiver)
+    inject: tuple  # copy -> injection round
+    arrivals: dict
+
+
+def _build_copy_index(scheme: CommScheme) -> CopyIndex:
+    vertices = scheme.network.vertices
+    touches: dict = {}
+    transfer, inject, arrivals = [], [], {}
+    for u in vertices:
+        for v in vertices:
+            routes = scheme.plan(u, v).routes
+            copies = sorted(
+                (t0, route_id)
+                for route_id, route in enumerate(routes)
+                for t0 in route.inject_rounds
+            )
+            arrived = []
+            for t0, route_id in copies:
+                c = len(transfer)
+                transfer.append((u, v))
+                inject.append(t0)
+                path = routes[route_id].path
+                for hop in range(min(len(path) - 1, scheme.T - t0 + 1)):
+                    t = t0 + hop
+                    holder, receiver = path[hop], path[hop + 1]
+                    touches.setdefault((t, holder), []).append((2 * c, c, holder))
+                    touches.setdefault((t, receiver), []).append((2 * c + 1, c, receiver))
+                    if receiver == v:
+                        arrived.append((t, c))
+            arrivals[(u, v)] = tuple(sorted(arrived))
+    return CopyIndex(
+        touches={key: tuple(events) for key, events in touches.items()},
+        transfer=tuple(transfer),
+        inject=tuple(inject),
+        arrivals=arrivals,
+    )
+
+
+class SparseTransfers:
+    """The states-level back-end: visits only the copies a controlled
+    processor holds or receives, and keeps what it wrote to them as overrides.
+
+    Every other copy is honest and carries its sender's payload of its
+    injection round, which differs from the payload at decode time only for
+    a sender controlled (and so possibly rewritten) during the logical round;
+    those senders' payloads are recorded each round. A transfer with no
+    override from an untouched sender therefore decodes to that sender's
+    payload, without listing its copies.
+    """
+
+    def __init__(self, scheme: CommScheme, senders, payload):
+        self.index = scheme.copy_index()
+        self.vertices = scheme.network.vertices
+        self.senders = senders
+        self.every_sender = len(senders) == len(self.vertices)
+        self.payload = payload
+        self.t = 0
+        self.sent: dict = {}  # touched sender -> its payload in rounds 1..t
+        self.overrides: dict = {}  # copy -> the last value a controlled holder gave it
+        self.dirty: set = set()  # transfers with an override
+
+    def _override(self, c: int, value) -> None:
+        self.overrides[c] = value
+        self.dirty.add(self.index.transfer[c])
+
+    def step(self, t: int, controlled, corrupt) -> None:
+        self.t = t
+        for pid in controlled:
+            if pid in self.senders:
+                self.sent.setdefault(pid, [])
+        for i, sent in self.sent.items():
+            payload = self.payload(i)
+            sent.extend([payload] * (t - len(sent)))
+        touches = self.index.touches
+        if len(controlled) == 1:
+            events = touches.get((t, next(iter(controlled))), ())
+        else:
+            events = sorted(e for v in controlled for e in touches.get((t, v), ()))
+        transfer = self.index.transfer
+        for _order, c, v in events:
+            if self.every_sender or transfer[c][0] in self.senders:
+                self._override(c, corrupt(v))
+
+    def receiver_controlled(self, pid: int, corrupt) -> None:
+        arrivals = self.index.arrivals
+        for i in self.senders:
+            for arrival, c in arrivals[(i, pid)]:
+                if arrival > self.t:
+                    break
+                self._override(c, corrupt(pid))
+
+    def decode(self):
+        """(decoded payload per (sender, receiver), decodes that fell back)."""
+        arrivals, inject = self.index.arrivals, self.index.inject
+        decoded, fallbacks = {}, 0
+        for i in self.senders:
+            now = self.payload(i)
+            sent = self.sent.get(i)
+            for j in self.vertices:
+                key = (i, j)
+                copies = arrivals[key]
+                if i == j or (sent is None and key not in self.dirty and copies):
+                    decoded[key] = now
+                    continue
+                values = [
+                    self.overrides[c] if c in self.overrides
+                    else now if sent is None else sent[inject[c] - 1]
+                    for _arrival, c in copies
+                ]
+                decoded[key], fell_back = _decode(values)
+                fallbacks += fell_back
+        return decoded, fallbacks
 
 
 # --- the reduction to the complete-network protocol -----------------------------

@@ -21,6 +21,26 @@ senders; the honest rule is then applied to those histograms
 (`protocol.histogram_update`). The per-link `sent` table is built only for
 full traces. Lifted rounds decode one pair per link and use the list
 adapter `protocol.round_update`, which reaches the same rule.
+
+A lifted logical round moves every sender's message to every receiver in T
+physical rounds through one of two transfer back-ends, picked by the trace
+level alone. Full traces use `comms.TransferRuns`, the reference: one
+`TransferRun` per ordered pair marching every copy, which also records the
+hops and collected buffers the trace shows. States-level runs use
+`comms.SparseTransfers`, which visits only the copies a controlled processor
+holds or receives (from the scheme's cached `CopyIndex`) and treats every
+other copy as honest. One loop drives both through `step`,
+`receiver_controlled` and `decode`, and both call the strategy's
+`corrupt_value` in the same order, so the two levels of one scenario draw
+the same lies:
+  1. in `step`, transfers in sorted (sender, receiver) order, each one's
+     copies by (injection round, route), the holder of a hop before its
+     receiver;
+  2. then the source's stored round-1 value, when the source is controlled;
+  3. then, for each controlled pid in increasing order, its rewrite followed
+     by its stored copies in arrival order.
+An honest copy carries its sender's payload at step time, before that
+round's rewrites.
 """
 
 from __future__ import annotations
@@ -30,7 +50,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .comms import LiftedProtocol, TransferRun
+from .comms import LiftedProtocol, SparseTransfers, TransferRuns
 from .core import (
     EMPTY,
     MANY,
@@ -55,8 +75,9 @@ from .protocol import (
 
 class StrategyViolation(Exception):
     """The adversary broke its capability contract: more than m controlled,
-    an unknown processor id, an unfilled or mistyped forged slot, or a
-    planted state that is not a ProcessorState."""
+    an unknown processor id, an unfilled or mistyped forged slot, a
+    corrupted copy that is neither a Value nor a PairMessage, or a planted
+    state that is not a ProcessorState."""
 
 
 # --- relay mode: sticky value diffusion ------------------------------------
@@ -223,6 +244,16 @@ def _forged(strategy, ctx, pid) -> dict:
     return payloads
 
 
+def _corrupted(strategy, ctx, pid):
+    value = strategy.corrupt_value(ctx, pid)
+    if not isinstance(value, (Value, PairMessage)):
+        raise StrategyViolation(
+            f"round {ctx.round}: corrupt_value for {pid} returned {value!r}, "
+            f"not a Value or PairMessage"
+        )
+    return value
+
+
 def _rewritten(strategy, ctx, pid) -> ProcessorState:
     state = strategy.rewrite(ctx, pid)
     if not isinstance(state, ProcessorState):
@@ -331,36 +362,24 @@ def _run_flat(scenario: Scenario) -> Trace:
 
 def _run_lifted(scenario: Scenario) -> Trace:
     g = scenario.network
-    n = g.n
     lifted = scenario.lifted
-    scheme = lifted.scheme
-    T = scheme.T
+    T = lifted.scheme.T
     strategy = scenario.strategy
     rng = random.Random(scenario.seed)
-    trace = Trace(n=n)
+    trace = Trace(n=g.n)
+    full = scenario.trace_level == "full"
+    backend = TransferRuns if full else SparseTransfers
     states = {p: ProcessorState() for p in g.vertices}
 
     for lr in range(1, lifted.logical_rounds + 1):
         kind = "value" if lr == 1 else "pair"
         if lr == 1:
-            senders = [SOURCE]
             source_copy = [scenario.source_value]  # the source's own stored v_s
-
-            def payload_fn_for(i):
-                return lambda t: source_copy[0]
-
+            transfers = backend(lifted.scheme, [SOURCE], lambda i: source_copy[0])
         else:
-            senders = list(g.vertices)
-
-            def payload_fn_for(i):
-                return lambda t: states[i].emission()
-
-        runs = {}
-        for i in senders:
-            for j in g.vertices:
-                runs[(i, j)] = TransferRun(
-                    plan=scheme.plan(i, j), payload_fn=payload_fn_for(i)
-                )
+            transfers = backend(
+                lifted.scheme, list(g.vertices), lambda i: states[i].emission()
+            )
 
         for t in range(1, T + 1):
             rho = (lr - 1) * T + t
@@ -368,43 +387,18 @@ def _run_lifted(scenario: Scenario) -> Trace:
             controlled = _controlled(strategy, ctx)
 
             def corrupt(pid):
-                return strategy.corrupt_value(ctx, pid)
+                return _corrupted(strategy, ctx, pid)
 
-            sent = {}
-
-            def record_hop(holder, receiver, plan, route_id, value):
-                if scenario.trace_level != "full":
-                    return
-                sent.setdefault((holder, receiver), []).append(
-                    {
-                        "transfer": f"{plan.sender}->{plan.receiver}",
-                        "route": route_id,
-                        "value": value,
-                    }
-                )
-
-            for key in sorted(runs):
-                runs[key].step(t, controlled, corrupt, record_hop)
+            transfers.step(t, controlled, corrupt)
             if lr == 1 and SOURCE in controlled:
                 source_copy[0] = corrupt(SOURCE)
             for pid in sorted(controlled):
                 states[pid] = _rewritten(strategy, ctx, pid)
-                for key in sorted(runs):
-                    if key[1] == pid:
-                        runs[key].receiver_controlled(corrupt)
+                transfers.receiver_controlled(pid, corrupt)
 
             if t == T:
-                decoded = {}
-                for (i, j), tr in runs.items():
-                    if tr.plan.is_self:
-                        if lr == 1:
-                            decoded[(i, j)] = source_copy[0]
-                        else:
-                            decoded[(i, j)] = states[j].emission()
-                    else:
-                        decoded[(i, j)], fell_back = tr.decode()
-                        if fell_back:
-                            trace.decode_fallbacks += 1
+                decoded, fallbacks = transfers.decode()
+                trace.decode_fallbacks += fallbacks
                 new_states = {}
                 for p in g.vertices:
                     if p in controlled:
@@ -420,23 +414,18 @@ def _run_lifted(scenario: Scenario) -> Trace:
                         )
                 states = new_states
 
-            snapshot = dict(states)
-            if scenario.trace_level == "full":
-                held: dict = {p: [] for p in g.vertices}
-                for (i, j), tr in runs.items():
-                    for route_id, arrival, value, tainted in tr.collected:
-                        held[j].append(
-                            (f"{i}->{j}", route_id, arrival, str(value), tainted)
-                        )
+            if full:
+                held = transfers.buffers()
                 snapshot = {
-                    p: replace(states[p], buffers=tuple(sorted(held[p])))
-                    for p in g.vertices
+                    p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices
                 }
+            else:
+                snapshot = dict(states)
             trace.append(
                 RoundTrace(
                     round=rho,
                     controlled=controlled,
-                    sent=sent,
+                    sent=transfers.hops if full else {},
                     states_after=snapshot,
                 )
             )

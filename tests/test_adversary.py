@@ -260,3 +260,35 @@ def test_randomized_control_respects_m():
     trace = run(sc)
     assert all(len(rt.controlled) <= 2 for rt in trace.rounds)
     assert any(rt.controlled for rt in trace.rounds)
+
+
+RESHAPED = {
+    # (first network, second network, mode): the strategy object is reused
+    "bare-complete-7-then-9": (complete_network(7), complete_network(9), "bare"),
+    "relay-9-complete-then-two-clique": (
+        complete_network(9), make_two_clique_network(3, 3), "relay"
+    ),
+}
+WORLD_STRATEGIES = {
+    # 4 and 5 sit two hops from the source on two-clique 3 3 but one on a
+    # complete network, so their counterfactual states differ between the two
+    "alternating": lambda: AlternatingControl({4}, {5}, fake_value=ZERO, m=1),
+    "group-split": lambda: GroupSplitControl(
+        {4}, {q: (ZERO if q % 2 else ONE) for q in range(1, 10)}, 1, plant_value=ZERO
+    ),
+    "static-constant": lambda: StaticControl({4}, 1, rule=("constant", ZERO)),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(WORLD_STRATEGIES))
+@pytest.mark.parametrize("reshape", sorted(RESHAPED))
+def test_reused_strategy_replays_the_current_world(reshape, strategy):
+    first, second, mode = RESHAPED[reshape]
+    make = WORLD_STRATEGIES[strategy]
+
+    def scenario(network, strat):
+        return Scenario(network=network, m=1, source_value=ONE, strategy=strat, mode=mode)
+
+    reused = make()
+    run(scenario(first, reused))
+    assert run(scenario(second, reused)).to_text() == run(scenario(second, make())).to_text()

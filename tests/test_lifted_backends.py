@@ -1,0 +1,133 @@
+"""The lifted engine's two transfer back-ends against each other.
+
+A states-level lifted run uses `comms.SparseTransfers`, which visits only the
+copies a controlled processor holds or receives; a full-trace run marches
+every copy through `comms.TransferRun`, the reference. The same scenario at
+both levels must control the same processors, reach the same states, count
+the same decode fallbacks and make the same `corrupt_value` calls in the
+same order.
+"""
+
+import dataclasses
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobyz import (
+    SOURCE,
+    RandomizedControl,
+    Scenario,
+    ScheduledControl,
+    Strategy,
+    Value,
+    complete_minus_matching,
+    complete_network,
+    flood_scheme,
+    lift,
+    make_two_clique_network,
+    run,
+    two_round_scheme,
+)
+from mobyz.protocol import ProtocolParams
+
+ONE = Value.plain(1)
+
+CASES = {
+    "two-round-cmm-13-6-m1": lambda: (complete_minus_matching(13, 6), 1, two_round_scheme),
+    "two-round-complete-13-m2": lambda: (complete_network(13), 2, two_round_scheme),
+    # T=3, K=2; the cliques' members are adjacent, so a round-2 direct copy
+    # joins the disjoint-path copies injected in rounds 1 and 2
+    "flood-two-clique-5-9-m1": lambda: (
+        make_two_clique_network(5, 9), 1, lambda g, m: flood_scheme(g, m, 9)
+    ),
+}
+
+
+@functools.cache
+def _base(case) -> Scenario:
+    """One scenario per case; runs share its scheme, so plans and the copy
+    index are built once."""
+    g, m, make_scheme = CASES[case]()
+    return Scenario(
+        network=g,
+        m=m,
+        source_value=ONE,
+        strategy=None,
+        mode="lifted",
+        lifted=lift(make_scheme(g, m), ProtocolParams(n=g.n, m=m)),
+    )
+
+
+class Logged(Strategy):
+    """Delegates everything and logs each corrupt_value call as (round, pid)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def controlled(self, ctx):
+        return self.inner.controlled(ctx)
+
+    def rewrite(self, ctx, pid):
+        return self.inner.rewrite(ctx, pid)
+
+    def corrupt_value(self, ctx, pid):
+        self.calls.append((ctx.round, pid))
+        return self.inner.corrupt_value(ctx, pid)
+
+
+def assert_levels_agree(case, make_inner, seed):
+    runs = {}
+    for level in ("states", "full"):
+        strategy = Logged(make_inner())
+        scenario = dataclasses.replace(
+            _base(case), strategy=strategy, seed=seed, trace_level=level
+        )
+        runs[level] = (run(scenario), strategy.calls)
+    (states, states_calls), (full, full_calls) = runs["states"], runs["full"]
+    assert [rt.controlled for rt in states.rounds] == [rt.controlled for rt in full.rounds]
+    assert [rt.states_after for rt in states.rounds] == [
+        {p: dataclasses.replace(st, buffers=()) for p, st in rt.states_after.items()}
+        for rt in full.rounds
+    ]
+    assert states.decode_fallbacks == full.decode_fallbacks
+    assert states_calls == full_calls
+    assert full_calls  # the adversary did touch copies
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_control_matches_reference(case, seed):
+    assert_levels_agree(case, RandomizedControl, seed)
+
+
+@st.composite
+def schedules(draw, case):
+    """Sparse random control plus three placements: the source in logical
+    round 1, a receiver in the last round T of a logical round, and a sender
+    in the first round of a pair round, whose later injections are honest
+    copies of its rewritten emission."""
+    base = _base(case)
+    n, m, T = base.n, base.m, base.lifted.scheme.T
+    logical = base.lifted.logical_rounds
+    pids = st.integers(1, n)
+    schedule = draw(
+        st.dictionaries(
+            st.integers(1, logical * T), st.frozensets(pids, max_size=m), max_size=6
+        )
+    )
+    schedule[draw(st.integers(1, T))] = frozenset({SOURCE})
+    schedule[draw(st.integers(1, logical)) * T] = frozenset({draw(pids)})
+    schedule[(draw(st.integers(2, logical)) - 1) * T + 1] = frozenset({draw(pids)})
+    return schedule
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scheduled_control_matches_reference(case, data, seed):
+    schedule = data.draw(schedules(case))
+    assert_levels_agree(case, lambda: ScheduledControl(schedule, Strategy()), seed)

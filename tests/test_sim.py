@@ -257,3 +257,21 @@ def test_planted_state_must_be_a_processor_state():
                       mode="lifted", lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=7, m=1)))
     with pytest.raises(StrategyViolation, match="round 1: rewrite of 1 .* not a ProcessorState"):
         run(lifted)
+
+
+@pytest.mark.parametrize("level", ["states", "full"])
+def test_corrupted_copy_must_be_a_value_or_pair(level):
+    class CorruptsToAnInt(Strategy):
+        def controlled(self, ctx):
+            return frozenset({3}) if ctx.round == 1 else frozenset()
+
+        def corrupt_value(self, ctx, pid):
+            return 7
+
+    g = complete_minus_matching(13, 6)
+    sc = Scenario(network=g, m=1, source_value=ONE, strategy=CorruptsToAnInt(),
+                  mode="lifted", lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1)),
+                  trace_level=level)
+    with pytest.raises(StrategyViolation,
+                       match="round 1: corrupt_value for 3 returned 7, not a Value or PairMessage"):
+        run(sc)

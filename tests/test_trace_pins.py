@@ -18,6 +18,7 @@ from mobyz import (
     complete_network,
     cut_set_pair,
     five_set_pair,
+    flood_scheme,
     lift,
     make_two_clique_network,
     run,
@@ -69,6 +70,23 @@ def _lifted_two_round():
     )
 
 
+def _lifted_states(g, m, scheme, seed):
+    return Scenario(
+        network=g,
+        m=m,
+        source_value=ONE,
+        strategy=RandomizedControl(),
+        mode="lifted",
+        lifted=lift(scheme, ProtocolParams(n=g.n, m=m)),
+        seed=seed,
+        trace_level="states",
+    )
+
+
+def _lifted_two_round_states(g, m, seed):
+    return _lifted_states(g, m, two_round_scheme(g, m), seed)
+
+
 def _five_set(which):
     pair = five_set_pair(n=5, m=1)
     return pair.scenario_a if which == "a" else pair.scenario_b
@@ -89,6 +107,14 @@ SCENARIOS = {
     "bare-13-counterfactual-states": lambda: _bare_counterfactual("states"),
     "bare-13-counterfactual-full": lambda: _bare_counterfactual("full"),
     "lifted-two-round-13-full": _lifted_two_round,
+    "lifted-two-round-cmm-13-states": lambda: _lifted_two_round_states(
+        complete_minus_matching(13, 6), 1, 7),
+    "lifted-two-round-cmm-19-states": lambda: _lifted_two_round_states(
+        complete_minus_matching(19, 9), 1, 2),
+    "lifted-two-round-complete-13-m2-states": lambda: _lifted_two_round_states(
+        complete_network(13), 2, 5),
+    "lifted-flood-two-clique-5-9-states": lambda: _lifted_states(
+        make_two_clique_network(5, 9), 1, flood_scheme(make_two_clique_network(5, 9), 1, 9), 3),
     "five-set-5-1-a": lambda: _five_set("a"),
     "five-set-5-1-b": lambda: _five_set("b"),
     "cut-set-two-clique-4-4-a": lambda: _cut_set("a"),
@@ -110,6 +136,11 @@ PINS = {
     "five-set-5-1-a": "1bda9a9f2a243a9d27d611541437e7e25ea3f8d33af4a5522e5d7e9d0a767131",
     "five-set-5-1-b": "2259211144afd3fc6161fb2d3e1a95e31ee0023f6fd4f2d6082c8a378ecee1a1",
     "lifted-two-round-13-full": "f6c7ce385eebb24297010c12f0d50165a8acaf12bd0706f7aff41407e9b614a0",
+    # generated on the engine before states-level lifted runs left TransferRun
+    "lifted-flood-two-clique-5-9-states": "b055af8bd9c9e34daa39e698531ad6cc67504ce399fae7ec71c18d19f4bca0e0",
+    "lifted-two-round-cmm-13-states": "6429b617319643896eda28e585f21ce82c6b709c91927c74c6936beb5018a6a6",
+    "lifted-two-round-cmm-19-states": "cc09e73e47d11a7061f287e77af10a037492fbfcbe93e9ce5f6d3957129b1410",
+    "lifted-two-round-complete-13-m2-states": "f6ba6c6dbd34e7089e715a3e99bacff5a17152c1787636bf54e104730894a4b6",
 }
 
 
