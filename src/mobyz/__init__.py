@@ -13,7 +13,6 @@ from .core import (
     Value,
     View,
     parse_value,
-    value_eq,
     view_of,
 )
 from .graphs import (
@@ -37,7 +36,6 @@ from .graphs import (
 from .protocol import (
     ProtocolParams,
     first_round_state,
-    honest_emit,
     pivot_index,
     round_update,
     termination_round,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY, PairMessage, ProcessorState, Value
+from .core import PairMessage, ProcessorState, Value
 from .graphs import Network
-from .sim import SOURCE, Scenario, relay_adopted, relay_update, run
+from .sim import SOURCE, Scenario, relay_update, run
 
 
 class Strategy:
@@ -414,8 +414,8 @@ def cut_set_pair(
                     em_first[(r, p)] = sent_1[p]
                 if p in lying_2:
                     em_second[(r, p)] = sent_2[p]
-        new_1 = _honest_relay_step(g, s, states_1, sent_1, r, value_first)
-        new_2 = _honest_relay_step(g, s, states_2, sent_2, r, value_second)
+        new_1 = _relay_round(g, states_1, sent_1, r, value_first)
+        new_2 = _relay_round(g, states_2, sent_2, r, value_second)
         for p in lying_1:
             new_1[p] = new_2[p]
             plant_first[(r, p)] = new_2[p]
@@ -443,24 +443,12 @@ def cut_set_pair(
     return ScenarioPair(scenario_a, scenario_b, frozenset([observer]), label="cut-set")
 
 
-def _honest_relay_step(g, s, states, sent, r, source_value):
-    """Everyone updates as if honest; round 1 is the source's announcement."""
-    new = {}
-    for p in g.vertices:
-        if r == 1:
-            if p == s:
-                new[p] = relay_adopted(source_value)
-            elif g.adjacent(s, p) and sent.get(s) != EMPTY:
-                new[p] = relay_adopted(sent[s])
-            else:
-                new[p] = states[p]
-        else:
-            received = {q: PairMessage(*_pair_of(sent[q])) for q in g.neighbors(p)}
-            new[p] = relay_update(states[p], received)
-    return new
-
-
-def _pair_of(payload):
-    if isinstance(payload, PairMessage):
-        return payload.high, payload.medium
-    return payload, payload
+def _relay_round(g, states, sent, r, source_value):
+    """Everyone's update by the engine's relay rule, as if honest, when each
+    sender p sent sent[p] to all of its neighbours (in round 1, only the
+    source sends)."""
+    if r == 1:
+        heard = {p: sent[SOURCE] if g.adjacent(SOURCE, p) else None for p in g.vertices}
+    else:
+        heard = {p: [sent[q].high for q in g.neighbors(p)] for p in g.vertices}
+    return {p: relay_update(p, states[p], heard[p], r, source_value) for p in g.vertices}

@@ -457,10 +457,6 @@ class LiftedProtocol:
     def physical_rounds(self) -> int:
         return 2 * self.params.n * self.scheme.T
 
-    @property
-    def logical_rounds(self) -> int:
-        return 2 * self.params.n
-
 
 def lift(scheme: CommScheme, params: ProtocolParams) -> LiftedProtocol:
     """Validate K < n/(6m) and build the lifted protocol description."""

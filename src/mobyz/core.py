@@ -67,11 +67,6 @@ def parse_value(token: str) -> Value:
         raise ValueError(f"not a value token: {token!r}") from None
 
 
-def value_eq(x: Value, y: Value) -> bool:
-    """Structural equality; sentinels compare equal only to themselves."""
-    return x == y
-
-
 @dataclass(frozen=True)
 class PairMessage:
     """The (high, medium) support summaries a processor broadcasts each round."""

@@ -11,8 +11,9 @@ over a multi-round communication scheme.
 
 The honest rule is stated once, in `histogram_update`, over how many
 received pairs carried each value as their high and as their medium half,
-plus the high half received from the pivot. `round_update` is its adapter
-for an explicit list of n received pairs.
+plus the high half received from the pivot. `pair_counts` counts an
+explicit list of n received pairs into those inputs, and `round_update` is
+the rule's adapter for such a list.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import EMPTY, MANY, PairMessage, ProcessorState, Value
+from .core import EMPTY, MANY, ProcessorState, Value
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class ProtocolParams:
                 f"need n > 6*faults: n={self.n}, unit={self.fault_unit}"
             )
 
-    def alphabet(self):
-        return [Value.plain(i) for i in range(self.alphabet_size)]
-
 
 def pivot_index(r: int) -> int:
     """The pivot processor for round r (meaningful for r >= 2).
@@ -68,13 +66,6 @@ def termination_round(params: ProtocolParams) -> int:
 def first_round_state(received: Value) -> ProcessorState:
     """Round 1: adopt whatever the source claims, verbatim."""
     return ProcessorState(high=received, medium=received)
-
-
-def honest_emit(state: ProcessorState, r: int) -> PairMessage:
-    """The identical (high, medium) pair sent to every recipient in round r >= 2."""
-    if r < 2:
-        raise ValueError("round 1 emission is the source value only")
-    return state.emission()
 
 
 def _summary(support: frozenset) -> Value:
@@ -147,6 +138,18 @@ def histogram_update(
     )
 
 
+def pair_counts(received: list, r: int) -> tuple:
+    """(high counts, medium counts, pivot's high) of the pairs received in
+    round r >= 2, where received[i-1] is the pair from processor i; the
+    pivot's high is None when the pivot index exceeds len(received)."""
+    pivot = pivot_index(r)
+    return (
+        Counter(msg.high for msg in received),
+        Counter(msg.medium for msg in received),
+        received[pivot - 1].high if pivot <= len(received) else None,
+    )
+
+
 def round_update(
     self_id: int,
     state: ProcessorState,
@@ -164,13 +167,4 @@ def round_update(
         raise ValueError(f"expected {n} messages, got {len(received)}")
     if r < 2:
         raise ValueError("round_update applies from round 2 on")
-    pivot = pivot_index(r)
-    return histogram_update(
-        self_id,
-        state,
-        Counter(msg.high for msg in received),
-        Counter(msg.medium for msg in received),
-        received[pivot - 1].high if pivot <= n else None,
-        r,
-        params,
-    )
+    return histogram_update(self_id, state, *pair_counts(received, r), r, params)

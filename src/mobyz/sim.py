@@ -1,46 +1,46 @@
 """Synchronous round engine, trace recording, and the run checkers.
 
-Each round: (1) the adversary picks at most m processors to control, (2)
-everyone emits — honest processors per protocol, controlled ones per the
-adversary, (3) messages are delivered along edges, (4) honest processors
-update their state per protocol while controlled states are overwritten by
-the adversary. Runs are fully deterministic given the scenario seed.
-
 Three protocol modes:
   bare    — the complete-network agreement protocol, one round per round.
   lifted  — the same protocol with every logical round executed as T physical
-            rounds of a reliable-communication scheme, thresholds at m*K.
+            rounds of a (T, K) reliable-communication scheme, thresholds at m*K.
   relay   — sticky value diffusion on an arbitrary graph (adopt the first /
             most frequent value heard, then repeat it); the deterministic
             honest behavior used by the impossibility scenario pairs.
 
-In bare rounds r >= 2 every honest processor broadcasts one identical pair,
-so the engine counts the honest emissions once per round and corrects each
-recipient's counts only for the payloads forged to it by the <= m controlled
-senders; the honest rule is then applied to those histograms
-(`protocol.histogram_update`). The per-link `sent` table is built only for
-full traces. Lifted rounds decode one pair per link and use the list
-adapter `protocol.round_update`, which reaches the same rule.
+One loop, `run`, drives every mode; bare and relay are the T = K = 1 case
+(`Scenario.T`, `Scenario.K`). Each logical round takes T physical rounds,
+and in each (1) the adversary picks at most m processors to control, (2) a
+delivery back-end's `step` moves the messages, (3) each controlled processor
+is rewritten, in increasing pid order, followed by the back-end's
+`receiver_controlled`. After the T-th, (4) `decode` gives each honest
+processor what its honest rule reads: `relay_update` in relay mode,
+otherwise `first_round_state` in round 1 and `histogram_update` later. Runs
+are fully deterministic given the scenario seed. The mode and the trace
+level pick the back-end:
+  direct delivery (bare, relay) — each message goes straight along its edge.
+      Honest bare senders broadcast one identical pair, so `decode` counts
+      their emissions once and corrects each recipient only for the payloads
+      forged to it by the <= m controlled senders.
+  `comms.TransferRuns` (lifted, full traces) — the reference: one
+      `TransferRun` per ordered pair marches every copy and records the hops
+      and collected buffers the trace shows.
+  `comms.SparseTransfers` (lifted, states level) — visits only the copies a
+      controlled processor holds or receives (from the scheme's cached
+      `CopyIndex`) and treats every other copy as honest.
 
-A lifted logical round moves every sender's message to every receiver in T
-physical rounds through one of two transfer back-ends, picked by the trace
-level alone. Full traces use `comms.TransferRuns`, the reference: one
-`TransferRun` per ordered pair marching every copy, which also records the
-hops and collected buffers the trace shows. States-level runs use
-`comms.SparseTransfers`, which visits only the copies a controlled processor
-holds or receives (from the scheme's cached `CopyIndex`) and treats every
-other copy as honest. One loop drives both through `step`,
-`receiver_controlled` and `decode`, and both call the strategy's
-`corrupt_value` in the same order, so the two levels of one scenario draw
-the same lies:
-  1. in `step`, transfers in sorted (sender, receiver) order, each one's
-     copies by (injection round, route), the holder of a hop before its
-     receiver;
-  2. then the source's stored round-1 value, when the source is controlled;
-  3. then, for each controlled pid in increasing order, its rewrite followed
-     by its stored copies in arrival order.
-An honest copy carries its sender's payload at step time, before that
-round's rewrites.
+The strategy's hooks are called in one order, the same at both trace levels,
+so the two levels of one scenario draw the same lies. In a physical round:
+  1. `controlled`;
+  2. in `step`: direct delivery calls `forge` for each controlled sender in
+     increasing pid order; the lifted back-ends call `corrupt_value` for
+     transfers in sorted (sender, receiver) order, each one's copies by
+     (injection round, route), the holder of a hop before its receiver, and
+     then for the source's stored round-1 value when the source is controlled;
+  3. for each controlled pid in increasing order, `rewrite`, then (lifted)
+     `corrupt_value` for each of its stored copies in arrival order.
+Honest rules draw nothing. An honest copy carries its sender's payload at
+step time, before that round's rewrites.
 """
 
 from __future__ import annotations
@@ -66,16 +66,15 @@ from .protocol import (
     ProtocolParams,
     first_round_state,
     histogram_update,
-    honest_emit,
+    pair_counts,
     pivot_index,
-    round_update,
     termination_round,
 )
 
 
 class StrategyViolation(Exception):
     """The adversary broke its capability contract: more than m controlled,
-    an unknown processor id, an unfilled or mistyped forged slot, a
+    an unknown or non-int processor id, an unfilled or mistyped forged slot, a
     corrupted copy that is neither a Value nor a PairMessage, or a planted
     state that is not a ProcessorState."""
 
@@ -93,17 +92,29 @@ def relay_adopted(value: Value) -> ProcessorState:
     )
 
 
-def relay_update(state: ProcessorState, received: dict) -> ProcessorState:
-    """Adopt the most frequent non-empty value heard (ties: canonical order),
-    then stick with it forever."""
+def relay_update(
+    p: int, state: ProcessorState, received, r: int, source_value: Value
+) -> ProcessorState:
+    """The honest relay rule. In round 1 the source adopts its own value and
+    every other processor adopts what it heard from the source (`received`;
+    None for a non-neighbour) unless that is EMPTY. Later, a processor still
+    at EMPTY adopts the most frequent non-empty value among `received`, the
+    highs of its neighbours' pairs (ties: canonical order), and then sticks
+    with it forever."""
+    if r == 1:
+        if p == SOURCE:
+            return relay_adopted(source_value)
+        if received is None or received == EMPTY:
+            return state
+        return relay_adopted(received)
     if state.high != EMPTY:
         return state
-    candidates = [p.high for p in received.values() if p.high != EMPTY]
-    if not candidates:
-        return state
     counts: dict = {}
-    for v in candidates:
-        counts[v] = counts.get(v, 0) + 1
+    for v in received:
+        if v != EMPTY:
+            counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        return state
     top = max(counts.values())
     winner = min((v for v, c in counts.items() if c == top), key=Value.sort_key)
     return relay_adopted(winner)
@@ -114,7 +125,9 @@ def relay_update(state: ProcessorState, received: dict) -> ProcessorState:
 
 @dataclass
 class Scenario:
-    """Everything one deterministic run needs."""
+    """Everything one deterministic run needs. Construction also sets
+    `params` (None in relay mode) and the scheme's `T` and `K`, which are
+    (1, 1) outside lifted mode."""
 
     network: Network
     m: int
@@ -130,6 +143,8 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("bare", "lifted", "relay"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.m < 0:
+            raise ValueError(f"the fault bound m must be non-negative, got {self.m}")
         if not self.source_value.is_plain:
             raise ValueError("the source value must be a plain symbol")
         if self.source_value.symbol >= self.alphabet_size:
@@ -137,6 +152,7 @@ class Scenario:
                 f"source value {self.source_value} lies outside the alphabet "
                 f"0..{self.alphabet_size - 1}"
             )
+        self.T, self.K = 1, 1
         if self.mode == "bare":
             if not self.network.is_complete():
                 raise ValueError("the bare protocol requires a complete network")
@@ -149,6 +165,7 @@ class Scenario:
             if self.lifted is None:
                 raise ValueError("lifted mode needs a lifted protocol description")
             self.params = self.lifted.params
+            self.T, self.K = self.lifted.scheme.T, self.lifted.scheme.K
             if self.rounds is None:
                 self.rounds = self.lifted.physical_rounds
             elif self.rounds != self.lifted.physical_rounds:
@@ -221,8 +238,8 @@ def _controlled(strategy, ctx) -> frozenset:
             f"round {ctx.round}: {len(picked)} controlled > m={ctx.scenario.m}"
         )
     for pid in picked:
-        if not 1 <= pid <= ctx.scenario.n:
-            raise StrategyViolation(f"round {ctx.round}: bad processor id {pid}")
+        if type(pid) is not int or not 1 <= pid <= ctx.scenario.n:
+            raise StrategyViolation(f"round {ctx.round}: bad processor id {pid!r}")
     return picked
 
 
@@ -264,171 +281,189 @@ def _rewritten(strategy, ctx, pid) -> ProcessorState:
     return state
 
 
-def run(scenario: Scenario) -> Trace:
-    """Execute the scenario for its full round budget and record the trace."""
-    if scenario.mode == "lifted":
-        return _run_lifted(scenario)
-    return _run_flat(scenario)
+class _DirectDelivery:
+    """Bare and relay rounds, T = K = 1. The per-link `sent` table is built
+    for full traces, in relay mode and in round 1."""
 
-
-def _run_flat(scenario: Scenario) -> Trace:
-    g = scenario.network
-    n = g.n
-    strategy = scenario.strategy
-    rng = random.Random(scenario.seed)
-    trace = Trace(n=n)
-    full = scenario.trace_level == "full"
-    bare = scenario.mode == "bare"
-    states = {p: ProcessorState() for p in g.vertices}
-    if bare:
-        everyone = list(g.vertices)  # one slot list shared by every sender
-        first_slots = {SOURCE: everyone}
-        pair_slots = dict.fromkeys(g.vertices, everyone)
-    else:
-        first_slots = {SOURCE: sorted(g.neighbors(SOURCE))}
-        pair_slots = {p: sorted(g.neighbors(p)) for p in g.vertices}
-
-    for r in range(1, scenario.rounds + 1):
-        slots = first_slots if r == 1 else pair_slots
-        kind = "value" if r == 1 else "pair"
-        ctx = StepContext(scenario, r, dict(states), trace, rng, kind, slots)
-        controlled = _controlled(strategy, ctx)
-        forged = {p: _forged(strategy, ctx, p) for p in sorted(controlled) if p in slots}
-        if r == 1:
-            emitted = {SOURCE: scenario.source_value}
+    def __init__(self, scenario: Scenario, states: dict):
+        g = scenario.network
+        self.network, self.states = g, states
+        self.source_value = scenario.source_value
+        self.bare = scenario.mode == "bare"
+        self.full = scenario.trace_level == "full"
+        if self.bare:
+            everyone = list(g.vertices)  # one slot list shared by every sender
+            self.first_slots = {SOURCE: everyone}
+            self.pair_slots = dict.fromkeys(g.vertices, everyone)
         else:
-            emitted = {p: honest_emit(states[p], r) for p in slots if p not in controlled}
-        histograms = bare and r >= 2
+            self.first_slots = {SOURCE: sorted(g.neighbors(SOURCE))}
+            self.pair_slots = {p: sorted(g.neighbors(p)) for p in g.vertices}
 
-        sent = {}
-        if full or not histograms:
+    def begin(self, r: int) -> None:
+        self.r = r
+        self.slots = self.first_slots if r == 1 else self.pair_slots
+
+    def step(self, t: int, controlled, ctx) -> None:
+        slots, strategy = self.slots, ctx.scenario.strategy
+        self.forged = forged = {
+            p: _forged(strategy, ctx, p) for p in sorted(controlled) if p in slots
+        }
+        if self.r == 1:
+            self.emitted = emitted = {SOURCE: self.source_value}
+        else:
+            states = self.states
+            self.emitted = emitted = {
+                p: states[p].emission() for p in slots if p not in controlled
+            }
+        self.sent = sent = {}
+        if self.full or not self.bare or self.r == 1:
             for p in sorted(slots):
                 for q in slots[p]:
                     sent[(p, q)] = forged[p][q] if p in forged else emitted[p]
 
-        if histograms:
-            # honest senders broadcast one pair, so count their emissions once
-            # and correct each recipient for the forged payloads only
-            high_base, medium_base = {}, {}
-            for msg in emitted.values():
-                high_base[msg.high] = high_base.get(msg.high, 0) + 1
-                medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
-            pivot = pivot_index(r)
-            pivot_emission = emitted.get(pivot)
+    def receiver_controlled(self, pid: int, ctx) -> None:
+        pass  # no copy is held, so none is corrupted
 
-        new_states = {}
-        for p in g.vertices:
-            if p in controlled:
-                new_states[p] = _rewritten(strategy, ctx, p)
-            elif histograms:
-                high_counts, medium_counts = dict(high_base), dict(medium_base)
-                for payloads in forged.values():
-                    msg = payloads[p]
-                    high_counts[msg.high] = high_counts.get(msg.high, 0) + 1
-                    medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
-                if pivot > n:
-                    pivot_high = None
-                elif pivot_emission is None:
-                    pivot_high = forged[pivot][p].high
-                else:
-                    pivot_high = pivot_emission.high
-                new_states[p] = histogram_update(
-                    p, states[p], high_counts, medium_counts, pivot_high, r,
-                    scenario.params,
-                )
-            elif bare:
-                new_states[p] = first_round_state(sent[(SOURCE, p)])
-            elif r == 1:
-                if p == SOURCE:
-                    new_states[p] = relay_adopted(scenario.source_value)
-                elif (SOURCE, p) in sent and sent[(SOURCE, p)] != EMPTY:
-                    new_states[p] = relay_adopted(sent[(SOURCE, p)])
-                else:
-                    new_states[p] = states[p]
+    def decode(self, honest: list):
+        """(what each honest receiver's rule reads, 0 fallbacks): the source's
+        payload in round 1 (None for a non-neighbour); in relay pair rounds
+        the highs of the neighbours' pairs; in bare pair rounds the high and
+        medium count histograms plus the pivot's high."""
+        sent, r = self.sent, self.r
+        if r == 1:
+            return {p: sent.get((SOURCE, p)) for p in honest}, 0
+        if not self.bare:
+            neighbors = self.network.neighbors
+            return {p: [sent[(i, p)].high for i in neighbors(p)] for p in honest}, 0
+
+        # honest senders broadcast one pair, so count their emissions once
+        # and correct each recipient for the forged payloads only
+        emitted, forged = self.emitted, self.forged
+        high_base, medium_base = {}, {}
+        for msg in emitted.values():
+            high_base[msg.high] = high_base.get(msg.high, 0) + 1
+            medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
+        pivot = pivot_index(r)
+        pivot_emission = emitted.get(pivot)
+        received = {}
+        for p in honest:
+            high_counts, medium_counts = dict(high_base), dict(medium_base)
+            for payloads in forged.values():
+                msg = payloads[p]
+                high_counts[msg.high] = high_counts.get(msg.high, 0) + 1
+                medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
+            if pivot > self.network.n:
+                pivot_high = None
+            elif pivot_emission is None:
+                pivot_high = forged[pivot][p].high
             else:
-                received = {i: sent[(i, p)] for i in g.neighbors(p)}
-                new_states[p] = relay_update(states[p], received)
-        states = new_states
-        trace.append(
-            RoundTrace(
-                round=r,
-                controlled=controlled,
-                sent=sent if full else {},
-                states_after=dict(states),
-            )
-        )
-    return trace
+                pivot_high = pivot_emission.high
+            received[p] = (high_counts, medium_counts, pivot_high)
+        return received, 0
+
+    def shown(self) -> tuple:
+        """What a full trace records of the round: `sent`, and no buffers."""
+        return self.sent, None
 
 
-def _run_lifted(scenario: Scenario) -> Trace:
+class _LiftedDelivery:
+    """Lifted rounds over `TransferRuns` or `SparseTransfers`. The adversary
+    corrupts copies and forges no slots; in round 1 a controlled source also
+    has its own stored value corrupted after each `step`."""
+
+    def __init__(self, scenario: Scenario, states: dict):
+        self.scheme = scenario.lifted.scheme
+        self.vertices = scenario.network.vertices
+        self.states = states
+        self.source_value = scenario.source_value
+        self.backend = TransferRuns if scenario.trace_level == "full" else SparseTransfers
+        self.slots = {}
+
+    def begin(self, r: int) -> None:
+        self.r = r
+        if r == 1:
+            self.source_copy = self.source_value  # the source's own stored v_s
+            senders, payload = [SOURCE], lambda i: self.source_copy
+        else:
+            states = self.states
+            senders, payload = list(self.vertices), lambda i: states[i].emission()
+        self.transfers = self.backend(self.scheme, senders, payload)
+
+    def step(self, t: int, controlled, ctx) -> None:
+        corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)
+        self.transfers.step(t, controlled, corrupt)
+        if self.r == 1 and SOURCE in controlled:
+            self.source_copy = corrupt(SOURCE)
+
+    def receiver_controlled(self, pid: int, ctx) -> None:
+        corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)
+        self.transfers.receiver_controlled(pid, corrupt)
+
+    def decode(self, honest: list):
+        """(what each honest receiver's rule reads, decodes that fell back):
+        the source's decoded value in round 1, later the count histograms
+        and the pivot's high of the n decoded pairs."""
+        decoded, fallbacks = self.transfers.decode()
+        if self.r == 1:
+            return {p: _as_value(decoded[(SOURCE, p)]) for p in honest}, fallbacks
+        received = {
+            p: pair_counts([_as_pair(decoded[(i, p)]) for i in self.vertices], self.r)
+            for p in honest
+        }
+        return received, fallbacks
+
+    def shown(self) -> tuple:
+        """What a full trace records of the round: hops and buffers."""
+        return self.transfers.hops, self.transfers.buffers()
+
+
+def run(scenario: Scenario) -> Trace:
+    """Execute the scenario for its full round budget and record the trace."""
     g = scenario.network
-    lifted = scenario.lifted
-    T = lifted.scheme.T
+    T = scenario.T
     strategy = scenario.strategy
     rng = random.Random(scenario.seed)
     trace = Trace(n=g.n)
     full = scenario.trace_level == "full"
-    backend = TransferRuns if full else SparseTransfers
-    states = {p: ProcessorState() for p in g.vertices}
+    states = {p: ProcessorState() for p in g.vertices}  # updated in place
+    if scenario.mode == "relay":
+        def honest(p, state, got, r):
+            return relay_update(p, state, got, r, scenario.source_value)
+    else:
+        def honest(p, state, got, r):
+            if r == 1:
+                return first_round_state(got)
+            return histogram_update(p, state, *got, r, scenario.params)
+    delivery = (_LiftedDelivery if scenario.mode == "lifted" else _DirectDelivery)(
+        scenario, states
+    )
 
-    for lr in range(1, lifted.logical_rounds + 1):
+    for lr in range(1, scenario.rounds // T + 1):
         kind = "value" if lr == 1 else "pair"
-        if lr == 1:
-            source_copy = [scenario.source_value]  # the source's own stored v_s
-            transfers = backend(lifted.scheme, [SOURCE], lambda i: source_copy[0])
-        else:
-            transfers = backend(
-                lifted.scheme, list(g.vertices), lambda i: states[i].emission()
-            )
-
+        delivery.begin(lr)
         for t in range(1, T + 1):
             rho = (lr - 1) * T + t
-            ctx = StepContext(scenario, rho, dict(states), trace, rng, kind, {})
+            ctx = StepContext(scenario, rho, dict(states), trace, rng, kind, delivery.slots)
             controlled = _controlled(strategy, ctx)
-
-            def corrupt(pid):
-                return _corrupted(strategy, ctx, pid)
-
-            transfers.step(t, controlled, corrupt)
-            if lr == 1 and SOURCE in controlled:
-                source_copy[0] = corrupt(SOURCE)
+            delivery.step(t, controlled, ctx)
             for pid in sorted(controlled):
                 states[pid] = _rewritten(strategy, ctx, pid)
-                transfers.receiver_controlled(pid, corrupt)
+                delivery.receiver_controlled(pid, ctx)
 
             if t == T:
-                decoded, fallbacks = transfers.decode()
+                received, fallbacks = delivery.decode(
+                    [p for p in g.vertices if p not in controlled]
+                )
                 trace.decode_fallbacks += fallbacks
-                new_states = {}
-                for p in g.vertices:
-                    if p in controlled:
-                        new_states[p] = states[p]  # already adversary-written
-                    elif lr == 1:
-                        new_states[p] = first_round_state(
-                            _as_value(decoded[(SOURCE, p)])
-                        )
-                    else:
-                        received = [_as_pair(decoded[(i, p)]) for i in g.vertices]
-                        new_states[p] = round_update(
-                            p, states[p], received, lr, lifted.params
-                        )
-                states = new_states
+                for p, got in received.items():
+                    states[p] = honest(p, states[p], got, lr)
 
-            if full:
-                held = transfers.buffers()
-                snapshot = {
-                    p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices
-                }
+            sent, held = delivery.shown() if full else ({}, None)
+            if held is not None:
+                snapshot = {p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices}
             else:
                 snapshot = dict(states)
-            trace.append(
-                RoundTrace(
-                    round=rho,
-                    controlled=controlled,
-                    sent=transfers.hops if full else {},
-                    states_after=snapshot,
-                )
-            )
+            trace.append(RoundTrace(rho, controlled, sent, snapshot))
     return trace
 
 
@@ -485,10 +520,7 @@ class Verdict:
 def _round_window(scenario: Scenario, R: int):
     """Physical rounds processor R must stay honest through to anchor the
     guarantee (the pre-anchor part is waived for the source, R=1)."""
-    if scenario.mode == "lifted":
-        T, K = scenario.lifted.scheme.T, scenario.lifted.scheme.K
-    else:
-        T, K = 1, 1
+    T, K = scenario.T, scenario.K
     if R == 1:
         return list(range(1, K + 1))
     start = (2 * R - 2) * T - K + 1
@@ -498,10 +530,7 @@ def _round_window(scenario: Scenario, R: int):
 def _logical_guard(scenario: Scenario, r: int):
     """Physical rounds a processor must be honest through for round r's
     common-value guarantee to cover it."""
-    if scenario.mode == "lifted":
-        T, K = scenario.lifted.scheme.T, scenario.lifted.scheme.K
-    else:
-        T, K = 1, 1
+    T, K = scenario.T, scenario.K
     return list(range(r * T - K + 1, r * T + 1))
 
 
@@ -551,8 +580,8 @@ def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
 
     first_stable = None
     violations = []
-    if scenario.mode in ("bare", "lifted"):
-        T = scenario.lifted.scheme.T if scenario.mode == "lifted" else 1
+    if scenario.params is not None:  # the guarantee is the agreement protocol's
+        T = scenario.T
         logical_rounds = scenario.rounds // T
         R_found = None
         for R in range(1, n + 1):

@@ -1,6 +1,6 @@
 import json
 
-from mobyz import cli, graphs
+from mobyz import cli, graphs, sim
 
 
 def invoke(capsys, *argv):
@@ -63,6 +63,16 @@ def test_run_rejects_lifted_rounds_it_cannot_honour(tmp_path, capsys):
     code, _, err = invoke(capsys, "run", scenario)
     assert code == 2
     assert "52 physical rounds" in err
+
+
+def test_run_rejects_negative_fault_bound(tmp_path, capsys):
+    scenario = write(
+        tmp_path, "relay.txt",
+        "network = two-clique 4 4\nm = -1\nprotocol = relay\nstrategy = random\n",
+    )
+    code, _, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert "non-negative" in err
 
 
 def test_run_rejects_source_value_outside_the_alphabet(tmp_path, capsys):
@@ -155,6 +165,22 @@ def test_campaign_aggregates(tmp_path, capsys):
     assert code == 0
     assert "seeds: 50" in stdout
     assert "fail: 0" in stdout
+
+
+def test_campaign_without_seeds_runs_the_file_seed(tmp_path, capsys, monkeypatch):
+    ran = []
+    real_run = sim.run
+
+    def recording_run(scenario):
+        ran.append(scenario.seed)
+        return real_run(scenario)
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    scenario = write(tmp_path, "s.txt", BASELINE)
+    code, stdout, _ = invoke(capsys, "campaign", scenario)
+    assert code == 0
+    assert "seeds: 1" in stdout
+    assert ran == [42]
 
 
 def test_campaign_rejects_undersized_network(tmp_path, capsys):

@@ -13,16 +13,8 @@ from mobyz import (
     complete_network,
     parse_value,
     run,
-    value_eq,
     view_of,
 )
-
-
-def test_value_equality():
-    assert value_eq(Value.plain(1), Value.plain(1))
-    assert not value_eq(EMPTY, MANY)
-    assert not value_eq(Value.plain(0), EMPTY)
-    assert not value_eq(Value.plain(0), Value.plain(1))
 
 
 def test_sentinels_distinct_from_all_plains():

@@ -1,11 +1,13 @@
-"""The lifted engine's two transfer back-ends against each other.
+"""States-level runs against full-trace runs of the same scenario.
 
-A states-level lifted run uses `comms.SparseTransfers`, which visits only the
-copies a controlled processor holds or receives; a full-trace run marches
-every copy through `comms.TransferRun`, the reference. The same scenario at
-both levels must control the same processors, reach the same states, count
-the same decode fallbacks and make the same `corrupt_value` calls in the
-same order.
+The trace level picks the back-end the engine's round loop drives: a
+states-level lifted run uses `comms.SparseTransfers`, which visits only the
+copies a controlled processor holds or receives, while a full-trace run
+marches every copy through `comms.TransferRun`, the reference; bare and relay
+rounds build the per-link `sent` table only for full traces. The same
+scenario at both levels must control the same processors, reach the same
+states, count the same decode fallbacks and make the same `forge`, `rewrite`
+and `corrupt_value` calls in the same order.
 """
 
 import dataclasses
@@ -34,22 +36,8 @@ from mobyz.protocol import ProtocolParams
 
 ONE = Value.plain(1)
 
-CASES = {
-    "two-round-cmm-13-6-m1": lambda: (complete_minus_matching(13, 6), 1, two_round_scheme),
-    "two-round-complete-13-m2": lambda: (complete_network(13), 2, two_round_scheme),
-    # T=3, K=2; the cliques' members are adjacent, so a round-2 direct copy
-    # joins the disjoint-path copies injected in rounds 1 and 2
-    "flood-two-clique-5-9-m1": lambda: (
-        make_two_clique_network(5, 9), 1, lambda g, m: flood_scheme(g, m, 9)
-    ),
-}
 
-
-@functools.cache
-def _base(case) -> Scenario:
-    """One scenario per case; runs share its scheme, so plans and the copy
-    index are built once."""
-    g, m, make_scheme = CASES[case]()
+def _lifted(g, m, make_scheme):
     return Scenario(
         network=g,
         m=m,
@@ -60,8 +48,34 @@ def _base(case) -> Scenario:
     )
 
 
+CASES = {
+    "two-round-cmm-13-6-m1": lambda: _lifted(complete_minus_matching(13, 6), 1, two_round_scheme),
+    "two-round-complete-13-m2": lambda: _lifted(complete_network(13), 2, two_round_scheme),
+    # T=3, K=2; the cliques' members are adjacent, so a round-2 direct copy
+    # joins the disjoint-path copies injected in rounds 1 and 2
+    "flood-two-clique-5-9-m1": lambda: _lifted(
+        make_two_clique_network(5, 9), 1, lambda g, m: flood_scheme(g, m, 9)
+    ),
+    "bare-complete-13-m2": lambda: Scenario(
+        network=complete_network(13), m=2, source_value=ONE, strategy=None
+    ),
+    "relay-two-clique-4-4-m1": lambda: Scenario(
+        network=make_two_clique_network(4, 4), m=1, source_value=ONE, strategy=None,
+        mode="relay",
+    ),
+}
+
+
+@functools.cache
+def _base(case) -> Scenario:
+    """One scenario per case; lifted runs share its scheme, so plans and the
+    copy index are built once."""
+    return CASES[case]()
+
+
 class Logged(Strategy):
-    """Delegates everything and logs each corrupt_value call as (round, pid)."""
+    """Delegates everything and logs each forge, rewrite and corrupt_value
+    call as (hook, round, pid)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -70,11 +84,16 @@ class Logged(Strategy):
     def controlled(self, ctx):
         return self.inner.controlled(ctx)
 
+    def forge(self, ctx, pid):
+        self.calls.append(("forge", ctx.round, pid))
+        return self.inner.forge(ctx, pid)
+
     def rewrite(self, ctx, pid):
+        self.calls.append(("rewrite", ctx.round, pid))
         return self.inner.rewrite(ctx, pid)
 
     def corrupt_value(self, ctx, pid):
-        self.calls.append((ctx.round, pid))
+        self.calls.append(("corrupt_value", ctx.round, pid))
         return self.inner.corrupt_value(ctx, pid)
 
 
@@ -94,7 +113,7 @@ def assert_levels_agree(case, make_inner, seed):
     ]
     assert states.decode_fallbacks == full.decode_fallbacks
     assert states_calls == full_calls
-    assert full_calls  # the adversary did touch copies
+    assert full_calls  # the adversary did act
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -108,11 +127,11 @@ def test_random_control_matches_reference(case, seed):
 def schedules(draw, case):
     """Sparse random control plus three placements: the source in logical
     round 1, a receiver in the last round T of a logical round, and a sender
-    in the first round of a pair round, whose later injections are honest
-    copies of its rewritten emission."""
+    in the first round of a pair round, whose later injections (when T > 1)
+    are honest copies of its rewritten emission."""
     base = _base(case)
-    n, m, T = base.n, base.m, base.lifted.scheme.T
-    logical = base.lifted.logical_rounds
+    n, m, T = base.n, base.m, base.T
+    logical = base.rounds // T
     pids = st.integers(1, n)
     schedule = draw(
         st.dictionaries(

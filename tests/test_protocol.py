@@ -10,7 +10,6 @@ from mobyz import (
     ProtocolParams,
     Value,
     first_round_state,
-    honest_emit,
     pivot_index,
     round_update,
     termination_round,
@@ -69,14 +68,6 @@ def test_first_round_adopts_anything_verbatim():
         assert st.high == v and st.medium == v
         assert st.high_set == frozenset() and st.medium_set == frozenset()
         assert st.decided is None
-
-
-def test_honest_emit_is_state_pair():
-    st = ProcessorState(high=EMPTY, medium=MANY)
-    assert honest_emit(st, 2) == PairMessage(EMPTY, MANY)
-    assert honest_emit(first_round_state(ZERO), 2) == PairMessage(ZERO, ZERO)
-    with pytest.raises(ValueError):
-        honest_emit(st, 1)
 
 
 # --- worked examples cross-checked against the oracle ----------------------------

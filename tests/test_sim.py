@@ -135,6 +135,32 @@ def test_strategy_violation_aborts_run():
         run(sc)
 
 
+@pytest.mark.parametrize("mode", ["bare", "lifted"])
+@pytest.mark.parametrize("pid", [1.5, True])
+def test_non_integer_controlled_id_aborts_run(mode, pid):
+    class NotAnInt(Strategy):
+        def controlled(self, ctx):
+            return frozenset({pid})
+
+    g = complete_network(7) if mode == "bare" else complete_minus_matching(7, 1)
+    lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=7, m=1)) if mode == "lifted" else None
+    for level in ("states", "full"):
+        sc = Scenario(network=g, m=1, source_value=ONE, strategy=NotAnInt(), mode=mode,
+                      lifted=lifted, trace_level=level)
+        with pytest.raises(StrategyViolation, match=f"round 1: bad processor id {pid}"):
+            run(sc)
+
+
+def test_negative_fault_bound_rejected_in_every_mode():
+    g = complete_minus_matching(7, 1)
+    lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=7, m=1))
+    for mode in ("bare", "lifted", "relay"):
+        with pytest.raises(ValueError, match="non-negative"):
+            Scenario(network=g if mode != "bare" else complete_network(7), m=-1,
+                     source_value=ONE, strategy=RandomizedControl(), mode=mode,
+                     lifted=lifted if mode == "lifted" else None)
+
+
 def test_all_processors_hit_makes_agreement_vacuous():
     class Sweep(Strategy):
         def controlled(self, ctx):

@@ -5,6 +5,7 @@ speedup that keeps behaviour must keep these digests. A change that alters
 the RNG draw order or any recorded field has to update them and say why.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -97,6 +98,23 @@ def _cut_set(which):
     return pair.scenario_a if which == "a" else pair.scenario_b
 
 
+def _relay_states(pair, which):
+    scenario = pair.scenario_a if which == "a" else pair.scenario_b
+    return dataclasses.replace(scenario, trace_level="states")
+
+
+def _relay_random():
+    return Scenario(
+        network=make_two_clique_network(4, 4),
+        m=1,
+        source_value=ONE,
+        strategy=RandomizedControl(),
+        mode="relay",
+        seed=3,
+        trace_level="states",
+    )
+
+
 SCENARIOS = {
     "bare-7-random-states": lambda: _bare_random(7, 1, 3, "states"),
     "bare-7-random-full": lambda: _bare_random(7, 1, 3, "full"),
@@ -119,6 +137,17 @@ SCENARIOS = {
     "five-set-5-1-b": lambda: _five_set("b"),
     "cut-set-two-clique-4-4-a": lambda: _cut_set("a"),
     "cut-set-two-clique-4-4-b": lambda: _cut_set("b"),
+    "relay-five-set-15-3-a-states": lambda: _relay_states(five_set_pair(15, 3), "a"),
+    "relay-five-set-15-3-b-states": lambda: _relay_states(five_set_pair(15, 3), "b"),
+    "relay-five-set-15-3-swap-a-states": lambda: _relay_states(
+        five_set_pair(15, 3, swap=True), "a"),
+    "relay-five-set-15-3-swap-b-states": lambda: _relay_states(
+        five_set_pair(15, 3, swap=True), "b"),
+    "relay-cut-set-two-clique-12-8-a-states": lambda: _relay_states(cut_set_pair(
+        make_two_clique_network(12, 8), 1, range(25, 33), observer=13, m=2), "a"),
+    "relay-cut-set-two-clique-12-8-b-states": lambda: _relay_states(cut_set_pair(
+        make_two_clique_network(12, 8), 1, range(25, 33), observer=13, m=2), "b"),
+    "relay-random-two-clique-4-4-states": _relay_random,
 }
 
 # generated on the engine before bare rounds were switched to histograms
@@ -141,6 +170,14 @@ PINS = {
     "lifted-two-round-cmm-13-states": "6429b617319643896eda28e585f21ce82c6b709c91927c74c6936beb5018a6a6",
     "lifted-two-round-cmm-19-states": "cc09e73e47d11a7061f287e77af10a037492fbfcbe93e9ce5f6d3957129b1410",
     "lifted-two-round-complete-13-m2-states": "f6ba6c6dbd34e7089e715a3e99bacff5a17152c1787636bf54e104730894a4b6",
+    # generated on the engine before bare and relay rounds joined the lifted loop
+    "relay-cut-set-two-clique-12-8-a-states": "29beb049451d3028baac22c3f785dd17f22c7af6c0d245b351f7be29a4056652",
+    "relay-cut-set-two-clique-12-8-b-states": "381c5a8e8d9174a8b842f7632f7135bfd880e78911e385d26fa9b35faaa36350",
+    "relay-five-set-15-3-a-states": "26a7fb08b5dc0968e5a5177ecd793234f7976e301228de2f05ba3f1b58228ed5",
+    "relay-five-set-15-3-b-states": "0ddd168b72cc1d2bfe518702018d815e14ee9437025c2a69ebbed3eefc884531",
+    "relay-five-set-15-3-swap-a-states": "26a7fb08b5dc0968e5a5177ecd793234f7976e301228de2f05ba3f1b58228ed5",
+    "relay-five-set-15-3-swap-b-states": "5bf5f2edb325d24ff64e739cc9d17a77fe0b6ead3462dacf2cec2f2d77e5c996",
+    "relay-random-two-clique-4-4-states": "060ce36a8204161792cbea6192a13020c352b2e207149bccfe758574851e6fdd",
 }
 
 
