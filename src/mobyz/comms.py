@@ -153,6 +153,14 @@ def _decode(copies: list):
     return winner, 2 * top <= len(copies)
 
 
+def _honest_majority(copies, overrides) -> bool:
+    """Whether the copies without an override hold a strict majority of
+    `copies`, (arrival round, copy) pairs. When every honest copy carries
+    one payload, `_decode` then gives that payload and does not fall back;
+    an empty list never qualifies, so `_decode` still rejects it."""
+    return 2 * sum(c in overrides for _arrival, c in copies) < len(copies)
+
+
 def majority_decode(copies: list):
     """The strict-majority value among copies.
 
@@ -254,8 +262,11 @@ class TransferRun:
 # physical rounds of a logical round. They share one interface (step,
 # receiver_controlled, decode) and call `corrupt` in the same order; the
 # engine's loop and that order are described in the `sim` module docstring.
-# `payload(i)` is what sender i injects when asked; decode() also returns it
-# for the self transfer (i, i).
+# `payload(i)` is what sender i injects when asked. decode() returns each
+# sender's payload at decode time, the (sender, receiver) transfers that
+# decode to anything else (never the self transfer (i, i)), and how many
+# decodes fell back. Values are interned, so "anything else" is an identity
+# test.
 
 
 class TransferRuns:
@@ -289,15 +300,17 @@ class TransferRuns:
             self.runs[(i, pid)].receiver_controlled(corrupt)
 
     def decode(self):
-        """(decoded payload per (sender, receiver), decodes that fell back)."""
-        decoded, fallbacks = {}, 0
-        for (i, j), run in self.runs.items():
-            if run.plan.is_self:
-                decoded[(i, j)] = self.payload(i)
-            else:
-                decoded[(i, j)], fell_back = run.decode()
+        """(payload per sender, decoded payload per transfer that decodes to
+        anything else, decodes that fell back)."""
+        payloads = {i: self.payload(i) for i in self.senders}
+        exceptions, fallbacks = {}, 0
+        for key, run in self.runs.items():
+            if not run.plan.is_self:
+                value, fell_back = run.decode()
                 fallbacks += fell_back
-        return decoded, fallbacks
+                if value is not payloads[key[0]]:
+                    exceptions[key] = value
+        return payloads, exceptions, fallbacks
 
     def buffers(self) -> dict:
         """Each processor's collected copies as trace records, sorted."""
@@ -320,13 +333,15 @@ class CopyIndex:
     holds a copy that moves (order 2·copy) or receives one (2·copy + 1);
     copies still in flight after round T are dropped, as TransferRun drops
     them. `arrivals[(u, v)]` lists (arrival round, copy) for the copies that
-    reach v by round T, in arrival order.
+    reach v by round T, in arrival order; `silent` lists the transfers
+    between distinct processors none of whose copies do.
     """
 
     touches: dict
     transfer: tuple  # copy -> (sender, receiver)
     inject: tuple  # copy -> injection round
     arrivals: dict
+    silent: tuple
 
 
 def _build_copy_index(scheme: CommScheme) -> CopyIndex:
@@ -360,6 +375,7 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
         transfer=tuple(transfer),
         inject=tuple(inject),
         arrivals=arrivals,
+        silent=tuple(key for key, got in arrivals.items() if key[0] != key[1] and not got),
     )
 
 
@@ -370,9 +386,11 @@ class SparseTransfers:
     Every other copy is honest and carries its sender's payload of its
     injection round, which differs from the payload at decode time only for
     a sender controlled (and so possibly rewritten) during the logical round;
-    those senders' payloads are recorded each round. A transfer with no
-    override from an untouched sender therefore decodes to that sender's
-    payload, without listing its copies.
+    those senders' payloads are recorded each round. A transfer from an
+    untouched sender therefore decodes to that sender's payload, without
+    listing its copies, when fewer than half of its arrived copies have an
+    override: the honest ones then hold a strict majority. Only the other
+    transfers, of touched senders or with more overrides, are decoded.
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
@@ -417,26 +435,30 @@ class SparseTransfers:
                 self._override(c, corrupt(pid))
 
     def decode(self):
-        """(decoded payload per (sender, receiver), decodes that fell back)."""
-        arrivals, inject = self.index.arrivals, self.index.inject
-        decoded, fallbacks = {}, 0
-        for i in self.senders:
-            now = self.payload(i)
-            sent = self.sent.get(i)
-            for j in self.vertices:
-                key = (i, j)
-                copies = arrivals[key]
-                if i == j or (sent is None and key not in self.dirty and copies):
-                    decoded[key] = now
-                    continue
-                values = [
-                    self.overrides[c] if c in self.overrides
-                    else now if sent is None else sent[inject[c] - 1]
-                    for _arrival, c in copies
-                ]
-                decoded[key], fell_back = _decode(values)
-                fallbacks += fell_back
-        return decoded, fallbacks
+        """(payload per sender, decoded payload per transfer that decodes to
+        anything else, decodes that fell back)."""
+        arrivals, inject, overrides = self.index.arrivals, self.index.inject, self.overrides
+        payloads = {i: self.payload(i) for i in self.senders}
+        pending = set(self.dirty)
+        for i in self.sent:
+            pending.update((i, j) for j in self.vertices if j != i)
+        pending.update(key for key in self.index.silent if key[0] in payloads)
+        exceptions, fallbacks = {}, 0
+        for key in pending:  # decodes are pure, so their order is immaterial
+            now, sent = payloads[key[0]], self.sent.get(key[0])
+            copies = arrivals[key]
+            if sent is None and _honest_majority(copies, overrides):
+                continue
+            values = [
+                overrides[c] if c in overrides
+                else now if sent is None else sent[inject[c] - 1]
+                for _arrival, c in copies
+            ]
+            value, fell_back = _decode(values)
+            fallbacks += fell_back
+            if value is not now:
+                exceptions[key] = value
+        return payloads, exceptions, fallbacks
 
 
 # --- the reduction to the complete-network protocol -----------------------------

@@ -5,6 +5,12 @@ either plain alphabet symbols or one of two sentinels: EMPTY (no supported
 candidate) and MANY (two or more supported candidates). The canonical order
 EMPTY < MANY < plain(0) < plain(1) < ... gives deterministic serialization
 and tie-breaking everywhere.
+
+`Value` and `PairMessage` are interned: constructing one returns the single
+canonical instance for its fields (also through pickle, `copy` and
+`dataclasses.replace`), so equality and hashing are by identity and cost no
+Python call. Set iteration order then depends on memory addresses, so no
+output may depend on it: every record sorts, and ties break by `sort_key`.
 """
 
 from __future__ import annotations
@@ -18,12 +24,30 @@ _MANY_KIND = 1
 _PLAIN_KIND = 2
 
 
-@dataclass(frozen=True)
-class Value:
+class _Interned:
+    """Base of the interned dataclasses: `__new__` looks its fields up in
+    the class's table and calls `_intern` on a miss; no `__init__` runs."""
+
+    @classmethod
+    def _intern(cls, table: dict, fields: tuple):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(self, name, value)
+        return table.setdefault(fields, self)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Value(_Interned):
     """A protocol value: a plain alphabet symbol or a support sentinel."""
 
     kind: int
     symbol: int = -1
+
+    def __new__(cls, kind: int, symbol: int = -1) -> "Value":
+        return _VALUES.get((kind, symbol)) or cls._intern(_VALUES, (kind, symbol))
 
     @staticmethod
     def plain(symbol: int) -> "Value":
@@ -52,6 +76,7 @@ class Value:
         return f"Value({self})"
 
 
+_VALUES: dict = {}  # (kind, symbol) -> the canonical Value
 EMPTY = Value(_EMPTY_KIND)
 MANY = Value(_MANY_KIND)
 
@@ -67,18 +92,24 @@ def parse_value(token: str) -> Value:
         raise ValueError(f"not a value token: {token!r}") from None
 
 
-@dataclass(frozen=True)
-class PairMessage:
+@dataclass(frozen=True, eq=False, init=False)
+class PairMessage(_Interned):
     """The (high, medium) support summaries a processor broadcasts each round."""
 
     high: Value
     medium: Value
+
+    def __new__(cls, high: Value, medium: Value) -> "PairMessage":
+        return _PAIRS.get((high, medium)) or cls._intern(_PAIRS, (high, medium))
 
     def sort_key(self):
         return self.high.sort_key() + self.medium.sort_key()
 
     def __str__(self) -> str:
         return f"{self.high},{self.medium}"
+
+
+_PAIRS: dict = {}  # (high, medium) -> the canonical PairMessage
 
 
 @dataclass(frozen=True)

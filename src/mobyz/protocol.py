@@ -11,9 +11,9 @@ over a multi-round communication scheme.
 
 The honest rule is stated once, in `histogram_update`, over how many
 received pairs carried each value as their high and as their medium half,
-plus the high half received from the pivot. `pair_counts` counts an
-explicit list of n received pairs into those inputs, and `round_update` is
-the rule's adapter for such a list.
+plus the high half received from the pivot. `round_update` is the rule's
+adapter for an explicit list of n received pairs; the engine counts the
+pairs of a round once for all receivers instead (`sim._count_pairs`).
 """
 
 from __future__ import annotations
@@ -138,18 +138,6 @@ def histogram_update(
     )
 
 
-def pair_counts(received: list, r: int) -> tuple:
-    """(high counts, medium counts, pivot's high) of the pairs received in
-    round r >= 2, where received[i-1] is the pair from processor i; the
-    pivot's high is None when the pivot index exceeds len(received)."""
-    pivot = pivot_index(r)
-    return (
-        Counter(msg.high for msg in received),
-        Counter(msg.medium for msg in received),
-        received[pivot - 1].high if pivot <= len(received) else None,
-    )
-
-
 def round_update(
     self_id: int,
     state: ProcessorState,
@@ -167,4 +155,13 @@ def round_update(
         raise ValueError(f"expected {n} messages, got {len(received)}")
     if r < 2:
         raise ValueError("round_update applies from round 2 on")
-    return histogram_update(self_id, state, *pair_counts(received, r), r, params)
+    pivot = pivot_index(r)
+    return histogram_update(
+        self_id,
+        state,
+        Counter(msg.high for msg in received),
+        Counter(msg.medium for msg in received),
+        received[pivot - 1].high if pivot <= n else None,
+        r,
+        params,
+    )

@@ -19,15 +19,18 @@ otherwise `first_round_state` in round 1 and `histogram_update` later. Runs
 are fully deterministic given the scenario seed. The mode and the trace
 level pick the back-end:
   direct delivery (bare, relay) — each message goes straight along its edge.
-      Honest bare senders broadcast one identical pair, so `decode` counts
-      their emissions once and corrects each recipient only for the payloads
-      forged to it by the <= m controlled senders.
   `comms.TransferRuns` (lifted, full traces) — the reference: one
       `TransferRun` per ordered pair marches every copy and records the hops
       and collected buffers the trace shows.
   `comms.SparseTransfers` (lifted, states level) — visits only the copies a
       controlled processor holds or receives (from the scheme's cached
       `CopyIndex`) and treats every other copy as honest.
+In a bare or lifted pair round every receiver gets the same pair from most
+senders, so each back-end gives each sender's payload and only the
+(sender, receiver) exceptions: the pairs forged by controlled bare senders,
+or the transfers that decode to anything but the sender's payload.
+`_count_pairs` counts the payloads once and corrects each honest receiver
+for its own exceptions.
 
 The strategy's hooks are called in one order, the same at both trace levels,
 so the two levels of one scenario draw the same lies. In a physical round:
@@ -66,7 +69,6 @@ from .protocol import (
     ProtocolParams,
     first_round_state,
     histogram_update,
-    pair_counts,
     pivot_index,
     termination_round,
 )
@@ -75,8 +77,8 @@ from .protocol import (
 class StrategyViolation(Exception):
     """The adversary broke its capability contract: more than m controlled,
     an unknown or non-int processor id, an unfilled or mistyped forged slot, a
-    corrupted copy that is neither a Value nor a PairMessage, or a planted
-    state that is not a ProcessorState."""
+    corrupted copy of the wrong kind (a Value in round 1, a PairMessage
+    later), or a planted state that is not a ProcessorState."""
 
 
 # --- relay mode: sticky value diffusion ------------------------------------
@@ -143,6 +145,10 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("bare", "lifted", "relay"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.trace_level not in ("full", "states"):
+            raise ValueError(
+                f"unknown trace level {self.trace_level!r}: use 'full' or 'states'"
+            )
         if self.m < 0:
             raise ValueError(f"the fault bound m must be non-negative, got {self.m}")
         if not self.source_value.is_plain:
@@ -193,6 +199,14 @@ def _value_choices(alphabet_size: int) -> tuple:
     return tuple(Value.plain(i) for i in range(alphabet_size)) + (EMPTY, MANY)
 
 
+@functools.cache
+def _pair_choices(alphabet_size: int) -> dict:
+    """Every random payload pair, by high and then medium half."""
+    values = _value_choices(alphabet_size)
+    return {high: {medium: PairMessage(high, medium) for medium in values}
+            for high in values}
+
+
 @dataclass
 class StepContext:
     """What adversary hooks get to see: the full run so far, never less."""
@@ -214,7 +228,8 @@ class StepContext:
     def random_payload(self):
         if self.payload_kind == "value":
             return self.random_value()
-        return PairMessage(self.random_value(), self.random_value())
+        high = self.random_value()
+        return _pair_choices(self.scenario.alphabet_size)[high][self.random_value()]
 
     def random_state(self) -> ProcessorState:
         pool = [Value.plain(i) for i in range(self.scenario.alphabet_size)] + [MANY]
@@ -263,10 +278,12 @@ def _forged(strategy, ctx, pid) -> dict:
 
 def _corrupted(strategy, ctx, pid):
     value = strategy.corrupt_value(ctx, pid)
-    if not isinstance(value, (Value, PairMessage)):
+    expected = Value if ctx.payload_kind == "value" else PairMessage
+    if not isinstance(value, expected):
+        payload = isinstance(value, (Value, PairMessage))
         raise StrategyViolation(
             f"round {ctx.round}: corrupt_value for {pid} returned {value!r}, "
-            f"not a Value or PairMessage"
+            f"not a {expected.__name__ if payload else 'Value or PairMessage'}"
         )
     return value
 
@@ -327,39 +344,19 @@ class _DirectDelivery:
     def decode(self, honest: list):
         """(what each honest receiver's rule reads, 0 fallbacks): the source's
         payload in round 1 (None for a non-neighbour); in relay pair rounds
-        the highs of the neighbours' pairs; in bare pair rounds the high and
-        medium count histograms plus the pivot's high."""
+        the highs of the neighbours' pairs; in bare pair rounds
+        `_count_pairs` of the honest emissions, with each forged payload an
+        exception."""
         sent, r = self.sent, self.r
         if r == 1:
             return {p: sent.get((SOURCE, p)) for p in honest}, 0
         if not self.bare:
             neighbors = self.network.neighbors
             return {p: [sent[(i, p)].high for i in neighbors(p)] for p in honest}, 0
-
-        # honest senders broadcast one pair, so count their emissions once
-        # and correct each recipient for the forged payloads only
-        emitted, forged = self.emitted, self.forged
-        high_base, medium_base = {}, {}
-        for msg in emitted.values():
-            high_base[msg.high] = high_base.get(msg.high, 0) + 1
-            medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
-        pivot = pivot_index(r)
-        pivot_emission = emitted.get(pivot)
-        received = {}
-        for p in honest:
-            high_counts, medium_counts = dict(high_base), dict(medium_base)
-            for payloads in forged.values():
-                msg = payloads[p]
-                high_counts[msg.high] = high_counts.get(msg.high, 0) + 1
-                medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
-            if pivot > self.network.n:
-                pivot_high = None
-            elif pivot_emission is None:
-                pivot_high = forged[pivot][p].high
-            else:
-                pivot_high = pivot_emission.high
-            received[p] = (high_counts, medium_counts, pivot_high)
-        return received, 0
+        exceptions = {
+            (i, p): payloads[p] for i, payloads in self.forged.items() for p in honest
+        }
+        return _count_pairs(self.emitted, exceptions, honest, r, self.network.n), 0
 
     def shown(self) -> tuple:
         """What a full trace records of the round: `sent`, and no buffers."""
@@ -401,20 +398,53 @@ class _LiftedDelivery:
 
     def decode(self, honest: list):
         """(what each honest receiver's rule reads, decodes that fell back):
-        the source's decoded value in round 1, later the count histograms
-        and the pivot's high of the n decoded pairs."""
-        decoded, fallbacks = self.transfers.decode()
+        the source's decoded value in round 1, later `_count_pairs` of the
+        n decoded pairs."""
+        payloads, exceptions, fallbacks = self.transfers.decode()
         if self.r == 1:
-            return {p: _as_value(decoded[(SOURCE, p)]) for p in honest}, fallbacks
-        received = {
-            p: pair_counts([_as_pair(decoded[(i, p)]) for i in self.vertices], self.r)
-            for p in honest
-        }
-        return received, fallbacks
+            source = payloads[SOURCE]
+            return {p: exceptions.get((SOURCE, p), source) for p in honest}, fallbacks
+        n = len(self.vertices)
+        return _count_pairs(payloads, exceptions, honest, self.r, n), fallbacks
 
     def shown(self) -> tuple:
         """What a full trace records of the round: hops and buffers."""
         return self.transfers.hops, self.transfers.buffers()
+
+
+def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int) -> dict:
+    """What each honest receiver p's `histogram_update` reads in pair round
+    r: the high and medium count histograms of the n pairs p received, and
+    the pivot's high (None when the pivot index exceeds n). Sender i sent
+    payloads[i] to every receiver except where exceptions[(i, p)] says what
+    p got instead; a sender absent from `payloads` reaches receivers only
+    through exceptions. The payloads are counted once, and a receiver with
+    exceptions gets corrected copies of the shared histograms."""
+    high_base, medium_base = {}, {}
+    for msg in payloads.values():
+        high_base[msg.high] = high_base.get(msg.high, 0) + 1
+        medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
+    by_receiver: dict = {}
+    for (i, p), msg in exceptions.items():
+        by_receiver.setdefault(p, []).append((i, msg))
+    pivot = pivot_index(r)
+    base_pivot = payloads.get(pivot)
+    received = {}
+    for p in honest:
+        high_counts, medium_counts, pivot_msg = high_base, medium_base, base_pivot
+        if p in by_receiver:
+            high_counts, medium_counts = dict(high_base), dict(medium_base)
+            for i, msg in by_receiver[p]:
+                replaced = payloads.get(i)
+                if replaced is not None:  # a count of 0 reads as never received
+                    high_counts[replaced.high] -= 1
+                    medium_counts[replaced.medium] -= 1
+                high_counts[msg.high] = high_counts.get(msg.high, 0) + 1
+                medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
+                if i == pivot:
+                    pivot_msg = msg
+        received[p] = (high_counts, medium_counts, pivot_msg.high if pivot <= n else None)
+    return received
 
 
 def run(scenario: Scenario) -> Trace:
@@ -467,18 +497,6 @@ def run(scenario: Scenario) -> Trace:
     return trace
 
 
-def _as_value(payload) -> Value:
-    if isinstance(payload, Value):
-        return payload
-    return payload.high  # a pair where a bare value belongs: read its high half
-
-
-def _as_pair(payload) -> PairMessage:
-    if isinstance(payload, PairMessage):
-        return payload
-    return PairMessage(payload, payload)
-
-
 # --- verdicts -------------------------------------------------------------------
 
 
@@ -519,12 +537,29 @@ class Verdict:
 
 def _round_window(scenario: Scenario, R: int):
     """Physical rounds processor R must stay honest through to anchor the
-    guarantee (the pre-anchor part is waived for the source, R=1)."""
+    guarantee from logical round 2R on.
+
+    The bare hypothesis (`check_support_claim`) is that the pivot of rounds
+    2R-2 and 2R-1, processor R, is honest through both. What the other
+    processors read of it there is what it sends: its pair of round 2R-2,
+    which every receiver reads as that round's pivot high, and its pair of
+    round 2R-1, computed by its pivot-threshold update at the end of round
+    2R-2. Its own update at the end of round 2R-1 only decides whether it
+    is itself covered. A transfer of logical round r (physical rounds
+    (r-1)T+1 .. rT) delivers the sender's payload when the sender is honest
+    in its first K rounds and the receiver in its last K (criterion 6). So R
+    must be honest while it sends in round 2R-2, (2R-3)T+1 .. (2R-3)T+K,
+    while it receives in round 2R-2, (2R-2)T-K+1 .. (2R-2)T, and while it
+    sends in round 2R-1, (2R-2)T+1 .. (2R-2)T+K. With T = K = 1 these are
+    the bare rounds 2R-2 and 2R-1. The source (R = 1) only sends, in round
+    1: rounds 1 .. K.
+    """
     T, K = scenario.T, scenario.K
     if R == 1:
         return list(range(1, K + 1))
-    start = (2 * R - 2) * T - K + 1
-    return list(range(start, (2 * R - 2) * T + K + 1))
+    first_sends = range((2 * R - 3) * T + 1, (2 * R - 3) * T + K + 1)
+    receipt_and_second_sends = range((2 * R - 2) * T - K + 1, (2 * R - 2) * T + K + 1)
+    return sorted(set(first_sends) | set(receipt_and_second_sends))
 
 
 def _logical_guard(scenario: Scenario, r: int):

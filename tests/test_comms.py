@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mobyz import (
     EMPTY,
     MANY,
+    PairMessage,
     ProtocolParams,
     TransferRun,
     Value,
@@ -22,6 +25,7 @@ from mobyz import (
     two_round_plan,
     two_round_scheme,
 )
+from mobyz.comms import _decode, _honest_majority
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 
@@ -221,6 +225,40 @@ def test_majority_25_copies_12_corrupted():
 def test_majority_fallback_is_canonical_smallest():
     assert majority_decode([ZERO, ONE]) == ZERO
     assert majority_decode([MANY, ONE, ZERO, ZERO, ONE]) == ZERO
+
+
+PAYLOADS = [EMPTY, MANY, ZERO, ONE] + [PairMessage(h, m) for h in (MANY, ZERO, ONE)
+                                       for m in (EMPTY, ZERO, ONE)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decode_shortcut_agrees_with_the_full_count(data):
+    """`SparseTransfers.decode` skips the count for an untouched sender's
+    transfer whose honest copies hold a strict majority; wherever it does,
+    counting every copy must give the sender's payload, with no fallback."""
+    honest = data.draw(st.sampled_from(PAYLOADS), label="honest")
+    arrived = data.draw(st.integers(0, 13), label="arrived copies")
+    copies = [(data.draw(st.integers(1, 3)), c) for c in range(arrived)]
+    # overrides may also sit on copies that never arrive (ids >= arrived)
+    overridden = data.draw(st.sets(st.integers(0, arrived + 3)), label="overridden")
+    overrides = {c: data.draw(st.sampled_from(PAYLOADS)) for c in sorted(overridden)}
+    applies = _honest_majority(copies, overrides)
+    event(f"shortcut applies: {applies}")
+    values = [overrides.get(c, honest) for _arrival, c in copies]
+    if applies:
+        assert _decode(values) == (honest, False)
+    elif not copies:
+        with pytest.raises(ValueError, match="empty copy list"):
+            _decode(values)
+
+
+def test_decode_shortcut_boundary():
+    copies = [(2, c) for c in range(4)]
+    assert _honest_majority(copies, {0: ZERO})
+    assert not _honest_majority(copies, {0: ZERO, 1: ZERO})  # a tie is no majority
+    assert _decode([ZERO, ZERO, ONE, ONE]) == (ZERO, True)
+    assert not _honest_majority([], {})
 
 
 # --- the lifting reduction --------------------------------------------------------

@@ -1,4 +1,10 @@
 import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,10 @@ from mobyz import (
     run,
     view_of,
 )
+
+from test_trace_pins import PINS
+
+ONE = Value.plain(1)
 
 
 def test_sentinels_distinct_from_all_plains():
@@ -101,3 +111,88 @@ def test_trace_serialization_one_line_per_round():
     lines = trace.to_text().splitlines()
     assert len(lines) == 14
     assert all(line.startswith("{") for line in lines)
+
+
+# --- interning ------------------------------------------------------------------
+
+ALPHABET_3 = [EMPTY, MANY, Value.plain(0), Value.plain(1), Value.plain(2)]
+
+
+def test_values_and_pairs_are_interned():
+    assert Value.plain(1) is Value.plain(1)
+    assert Value(0) is EMPTY and parse_value("many") is MANY
+    assert PairMessage(Value.plain(1), MANY) is PairMessage(Value.plain(1), MANY)
+    assert ProcessorState(high=MANY, medium=EMPTY).emission() is PairMessage(MANY, EMPTY)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+def test_interning_survives_copies(clone):
+    pair = PairMessage(Value.plain(2), MANY)
+    for x in ALPHABET_3 + [pair]:
+        assert clone(x) is x
+
+
+def test_deep_copies_of_containers_hold_the_canonical_instances():
+    pair = PairMessage(ONE, MANY)
+    copied_pair, table = copy.deepcopy((pair, {ONE: [pair]}))
+    (key, [inner]), = table.items()
+    assert copied_pair is pair and key is ONE and inner is pair
+    assert pickle.loads(pickle.dumps(table))[ONE][0] is pair
+
+
+def test_replace_returns_the_canonical_instance():
+    assert dataclasses.replace(Value.plain(1), symbol=2) is Value.plain(2)
+    pair = PairMessage(ONE, ONE)
+    assert dataclasses.replace(pair, medium=MANY) is PairMessage(ONE, MANY)
+    state = ProcessorState(high=ONE, medium=ONE)
+    assert dataclasses.replace(state, medium=MANY).emission() is PairMessage(ONE, MANY)
+
+
+def test_order_and_rendering_unchanged_over_a_three_symbol_alphabet():
+    assert sorted(reversed(ALPHABET_3)) == ALPHABET_3
+    assert [v.sort_key() for v in ALPHABET_3] == [(0, -1), (1, -1), (2, 0), (2, 1), (2, 2)]
+    assert [str(v) for v in ALPHABET_3] == ["empty", "many", "0", "1", "2"]
+    assert repr(MANY) == "Value(many)"
+    pairs = [PairMessage(h, m) for h in ALPHABET_3 for m in ALPHABET_3]
+    assert sorted(reversed(pairs), key=PairMessage.sort_key) == pairs
+    assert pairs[7].sort_key() == (1, -1, 2, 0)
+    assert repr(pairs[7]) == "PairMessage(high=Value(many), medium=Value(0))"
+    assert str(pairs[7]) == "many,0"
+
+
+_DIGEST_CHILD = """
+import sys
+junk = [bytearray(k % 61) for k in range(int(sys.argv[1]))]
+sys.path[:0] = sys.argv[2:4]
+from mobyz import Value
+order = range(6) if int(sys.argv[1]) % 2 else reversed(range(6))
+junk += [(Value.plain(s), bytearray(s)) for s in order]
+import test_trace_pins as pins
+for name in sys.argv[4:]:
+    print(name, pins.trace_digest(pins.SCENARIOS[name]()))
+"""
+
+
+def test_traces_do_not_depend_on_hash_seed_or_memory_layout():
+    """Values hash by identity, so a set of them iterates in an order set by
+    memory addresses; two interpreters with different hash seeds and heaps
+    must still write the same traces."""
+    root = Path(__file__).resolve().parent.parent
+    names = ["bare-13-random-full", "lifted-two-round-13-full",
+             "lifted-two-round-cmm-19-states"]
+    outputs = []
+    for hash_seed, junk in (("0", "1001"), ("4242", "30000")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_CHILD, junk,
+             str(root / "src"), str(root / "tests"), *names],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [f"{name} {PINS[name]}" for name in names]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mobyz import (
@@ -13,6 +15,7 @@ from mobyz import (
     check_support_claim,
     complete_minus_matching,
     complete_network,
+    flood_scheme,
     lift,
     make_two_clique_network,
     round_update,
@@ -20,6 +23,7 @@ from mobyz import (
     two_round_scheme,
 )
 from mobyz.protocol import ProtocolParams
+from mobyz.sim import _round_window
 
 ONE = Value.plain(1)
 ZERO = Value.plain(0)
@@ -301,3 +305,102 @@ def test_corrupted_copy_must_be_a_value_or_pair(level):
     with pytest.raises(StrategyViolation,
                        match="round 1: corrupt_value for 3 returned 7, not a Value or PairMessage"):
         run(sc)
+
+
+def test_trace_level_must_be_full_or_states():
+    with pytest.raises(ValueError, match="unknown trace level 'ful': use 'full' or 'states'"):
+        Scenario(network=complete_network(7), m=1, source_value=ONE,
+                 strategy=RandomizedControl(), trace_level="ful")
+
+
+class _CorruptsWrongKind(Strategy):
+    """Controls processor 3 in one physical round and corrupts every copy it
+    touches with a payload of the other kind."""
+
+    def __init__(self, round_no, payload):
+        self.round_no, self.payload = round_no, payload
+
+    def controlled(self, ctx):
+        return frozenset({3}) if ctx.round == self.round_no else frozenset()
+
+    def corrupt_value(self, ctx, pid):
+        return self.payload
+
+
+@pytest.mark.parametrize("level", ["states", "full"])
+@pytest.mark.parametrize("round_no, payload, expected", [
+    (1, PairMessage(ONE, ONE), "Value"),  # logical round 1 carries values
+    (3, ONE, "PairMessage"),  # logical round 2 carries pairs
+], ids=["pair-in-round-1", "value-in-a-pair-round"])
+def test_corrupted_copy_must_have_the_round_kind(level, round_no, payload, expected):
+    g = complete_minus_matching(13, 6)
+    sc = Scenario(network=g, m=1, source_value=ONE,
+                  strategy=_CorruptsWrongKind(round_no, payload), mode="lifted",
+                  lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1)),
+                  trace_level=level)
+    with pytest.raises(StrategyViolation, match=re.escape(
+            f"round {round_no}: corrupt_value for 3 returned {payload!r}, "
+            f"not a {expected}") + "$"):
+        run(sc)
+
+
+def _lifted_cmm_13(strategy, seed, level="states"):
+    g = complete_minus_matching(13, 6)
+    return Scenario(network=g, m=1, source_value=ONE, strategy=strategy, mode="lifted",
+                    lifted=lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1)),
+                    seed=seed, trace_level=level)
+
+
+def test_lifted_guarantee_window_matches_the_bare_one():
+    bare = Scenario(network=complete_network(7), m=1, source_value=ONE,
+                    strategy=NoFaults())
+    for R in range(2, 8):
+        assert _round_window(bare, R) == [2 * R - 2, 2 * R - 1]
+    assert _round_window(bare, 1) == [1]
+    two_round = _lifted_cmm_13(NoFaults(), 0)  # T=2, K=1
+    assert _round_window(two_round, 1) == [1]
+    assert _round_window(two_round, 2) == [3, 4, 5]
+    assert _round_window(two_round, 3) == [7, 8, 9]
+    g = make_two_clique_network(5, 9)
+    flood = Scenario(network=g, m=1, source_value=ONE, strategy=NoFaults(), mode="lifted",
+                     lifted=lift(flood_scheme(g, 1, 9), ProtocolParams(n=g.n, m=1)))
+    assert (flood.T, flood.K) == (3, 2)
+    assert _round_window(flood, 1) == [1, 2]
+    # sends of logical round 2, receipt of round 2, sends of round 3
+    assert _round_window(flood, 2) == [4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("level", ["states", "full"])
+def test_lifted_guarantee_holds_when_the_pivot_lies_in_its_first_round(level):
+    # Pivot 2 is controlled in physical round 3, when it sends its pair of
+    # logical round 2, so processor 2 does not anchor the guarantee; before
+    # the window covered that round this run failed "round 4: decisions
+    # ['0', 'None', 'empty']".
+    sc = _lifted_cmm_13(RandomizedControl(), 384681428, level)
+    trace = run(sc)
+    assert 2 in trace.controlled_in(3)
+    verdict = check_agreement(trace, sc)
+    assert verdict.ok, verdict.guarantee_violations
+    assert verdict.first_stable_round == 6
+
+
+class _SourceThenPivotTwo(RandomizedControl):
+    """Controls the source in round 1 and pivot 2 in physical round 3 (its
+    sending round of logical round 2); random control otherwise."""
+
+    def controlled(self, ctx):
+        if ctx.round == 1:
+            return frozenset({1})
+        if ctx.round == 3:
+            return frozenset({2})
+        return super().controlled(ctx)
+
+
+def test_lifted_guarantee_under_pivot_targeted_control():
+    violations = []
+    for seed in range(200):
+        sc = _lifted_cmm_13(_SourceThenPivotTwo(), seed)
+        verdict = check_agreement(run(sc), sc)
+        assert verdict.first_stable_round is None or verdict.first_stable_round >= 6
+        violations += [(seed, v) for v in verdict.guarantee_violations]
+    assert violations == []
