@@ -50,7 +50,6 @@ from .comms import (
     flood_scheme,
     kappa_sufficiency_bounds,
     lift,
-    majority_decode,
     two_round_plan,
     two_round_scheme,
 )

@@ -123,16 +123,19 @@ def parse_scenario_text(text: str, base_dir: Path):
             raise ScenarioError(f"missing required key: {key}")
         return keys[key]
 
-    def integer(key, value):
+    def parsed(key, value, parse=int, what="an integer"):
         try:
-            return int(value)
+            return parse(value)
         except ValueError:
-            raise ScenarioError(f"{key}: not an integer: {value!r}") from None
+            raise ScenarioError(f"{key}: not {what}: {value!r}") from None
 
-    m = integer("m", need("m"))
+    def symbol(key, default):
+        return parsed(key, keys.get(key, default), parse_value, "a value")
+
+    m = parsed("m", need("m"))
     network = _build_graph(need("network"), base_dir, inline_edges)
-    rounds = integer("rounds", keys["rounds"]) if "rounds" in keys else None
-    source_value = parse_value(keys.get("source-value", "1"))
+    rounds = parsed("rounds", keys["rounds"]) if "rounds" in keys else None
+    source_value = symbol("source-value", "1")
 
     if "pair" in keys:
         kind = keys["pair"]
@@ -142,7 +145,7 @@ def parse_scenario_text(text: str, base_dir: Path):
                     n=network.n,
                     m=m,
                     source_value=source_value,
-                    fake_value=parse_value(keys.get("fake-value", "0")),
+                    fake_value=symbol("fake-value", "0"),
                     rounds=rounds,
                     swap=keys.get("swap", "false") == "true",
                 )
@@ -150,8 +153,8 @@ def parse_scenario_text(text: str, base_dir: Path):
                 raise ScenarioError(f"pair: {e}") from None
             return "pair", pair
         if kind == "cut-set":
-            cut = _parse_ids(need("cut"))
-            observer = integer("observer", need("observer"))
+            cut = parsed("cut", need("cut"), _parse_ids, "a list of processor ids")
+            observer = parsed("observer", need("observer"))
             try:
                 pair = adversary.cut_set_pair(
                     network, sim.SOURCE, cut, observer, m, rounds=rounds
@@ -162,7 +165,7 @@ def parse_scenario_text(text: str, base_dir: Path):
         raise ScenarioError(f"pair: unknown kind {kind!r}")
 
     protocol = keys.get("protocol", "bare").split()
-    alphabet = integer("alphabet", keys.get("alphabet", "2"))
+    alphabet = parsed("alphabet", keys.get("alphabet", "2"))
     lifted = None
     mode = protocol[0]
     try:
@@ -193,7 +196,7 @@ def parse_scenario_text(text: str, base_dir: Path):
             lifted=lifted,
             alphabet_size=alphabet,
             rounds=rounds,
-            seed=integer("seed", keys.get("seed", "0")),
+            seed=parsed("seed", keys.get("seed", "0")),
         )
     except ScenarioError:
         raise

@@ -11,7 +11,6 @@ take a majority vote over the copies that arrive.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -145,6 +144,9 @@ def flood_scheme(g: Network, m: int, kappa: int) -> CommScheme:
 
 
 def _decode(copies: list):
+    """(the strict-majority value among copies, whether there was none).
+    Without one it falls back to the canonically smallest most-frequent
+    value; that needs a broken endpoint window, so the engine counts it."""
     if not copies:
         raise ValueError("cannot decode an empty copy list")
     counts = Counter(copies)
@@ -161,22 +163,6 @@ def _honest_majority(copies, overrides) -> bool:
     return 2 * sum(c in overrides for _arrival, c in copies) < len(copies)
 
 
-def majority_decode(copies: list):
-    """The strict-majority value among copies.
-
-    Falls back to the canonically smallest most-frequent value when no strict
-    majority exists; that branch is unreachable while the scheme's
-    preconditions hold, so taking it is logged.
-    """
-    value, fell_back = _decode(copies)
-    if fell_back:
-        logging.getLogger(__name__).warning(
-            "no strict majority among %d copies; deterministic fallback to %s",
-            len(copies), value,
-        )
-    return value
-
-
 # --- transfer execution --------------------------------------------------------
 
 
@@ -190,11 +176,13 @@ class Copy:
 
 @dataclass
 class TransferRun:
-    """Marches copies along one plan's routes, one hop per round.
+    """Marches copies along one plan's routes, one hop per round: the
+    reference semantics of a single transfer, which the engine's
+    `SparseTransfers` reproduces for all of them at once.
 
-    The engine drives it: step() once per round with the currently controlled
-    set and a corruption oracle, then decode() after round T. Copies held by
-    a controlled processor (including the receiver's collected ones) are
+    step() runs once per round with the currently controlled set and a
+    corruption oracle, then decode() after round T. Copies held by a
+    controlled processor (including the receiver's collected ones) are
     adversary-chosen and marked tainted — ground truth for the checkers.
     """
 
@@ -258,69 +246,16 @@ class TransferRun:
 
 # --- one logical round of transfers -------------------------------------------
 #
-# Two back-ends move every sender's message to every receiver through the T
-# physical rounds of a logical round. They share one interface (step,
-# receiver_controlled, decode) and call `corrupt` in the same order; the
-# engine's loop and that order are described in the `sim` module docstring.
-# `payload(i)` is what sender i injects when asked. decode() returns each
-# sender's payload at decode time, the (sender, receiver) transfers that
-# decode to anything else (never the self transfer (i, i)), and how many
-# decodes fell back. Values are interned, so "anything else" is an identity
-# test.
-
-
-class TransferRuns:
-    """The reference back-end: one TransferRun per ordered pair, every copy
-    marched hop by hop. It also records what full traces show — each round's
-    hops and every processor's collected copies."""
-
-    def __init__(self, scheme: CommScheme, senders, payload):
-        vertices = scheme.network.vertices
-        self.payload = payload
-        self.senders = senders
-        self.runs = {
-            (i, j): TransferRun(scheme.plan(i, j), payload_fn=lambda _t, i=i: payload(i))
-            for i in senders
-            for j in vertices
-        }
-        self.hops: dict = {}  # (holder, receiver) -> copies moved this round
-
-    def _record_hop(self, holder, receiver, plan, route_id, value) -> None:
-        self.hops.setdefault((holder, receiver), []).append(
-            {"transfer": f"{plan.sender}->{plan.receiver}", "route": route_id, "value": value}
-        )
-
-    def step(self, t: int, controlled, corrupt) -> None:
-        self.hops = {}
-        for run in self.runs.values():  # inserted in sorted (sender, receiver) order
-            run.step(t, controlled, corrupt, self._record_hop)
-
-    def receiver_controlled(self, pid: int, corrupt) -> None:
-        for i in self.senders:
-            self.runs[(i, pid)].receiver_controlled(corrupt)
-
-    def decode(self):
-        """(payload per sender, decoded payload per transfer that decodes to
-        anything else, decodes that fell back)."""
-        payloads = {i: self.payload(i) for i in self.senders}
-        exceptions, fallbacks = {}, 0
-        for key, run in self.runs.items():
-            if not run.plan.is_self:
-                value, fell_back = run.decode()
-                fallbacks += fell_back
-                if value is not payloads[key[0]]:
-                    exceptions[key] = value
-        return payloads, exceptions, fallbacks
-
-    def buffers(self) -> dict:
-        """Each processor's collected copies as trace records, sorted."""
-        held: dict = {}
-        for (i, j), run in self.runs.items():
-            for route_id, arrival, value, tainted in run.collected:
-                held.setdefault(j, []).append(
-                    (f"{i}->{j}", route_id, arrival, str(value), tainted)
-                )
-        return {p: tuple(sorted(copies)) for p, copies in held.items()}
+# `SparseTransfers` moves every sender's message to every receiver through
+# the T physical rounds of a logical round, at both trace levels; the
+# engine's loop and the order in which it calls `corrupt` are described in
+# the `sim` module docstring. `payload(i)` is what sender i injects when
+# asked. decode() returns each sender's payload at decode time, the
+# (sender, receiver) transfers that decode to anything else (never the self
+# transfer (i, i)), and how many decodes fell back. Values are interned, so
+# "anything else" is an identity test. The tests keep a reference with the
+# same interface, one marching `TransferRun` per ordered pair, and put it in
+# the engine's place to compare full traces byte for byte.
 
 
 @dataclass(frozen=True)
@@ -332,14 +267,18 @@ class CopyIndex:
     `touches[(t, v)]` lists the (order, copy, v) events of round t in which v
     holds a copy that moves (order 2·copy) or receives one (2·copy + 1);
     copies still in flight after round T are dropped, as TransferRun drops
-    them. `arrivals[(u, v)]` lists (arrival round, copy) for the copies that
-    reach v by round T, in arrival order; `silent` lists the transfers
-    between distinct processors none of whose copies do.
+    them. `moves[(t, u)]` lists ((holder, next hop), copy) for the copies of
+    sender u that move in round t, in copy order. `arrivals[(u, v)]` lists
+    (arrival round, copy) for the copies that reach v by round T, in arrival
+    order; `silent` lists the transfers between distinct processors none of
+    whose copies do.
     """
 
     touches: dict
+    moves: dict
     transfer: tuple  # copy -> (sender, receiver)
     inject: tuple  # copy -> injection round
+    route: tuple  # copy -> route id in its transfer's plan
     arrivals: dict
     silent: tuple
 
@@ -347,7 +286,8 @@ class CopyIndex:
 def _build_copy_index(scheme: CommScheme) -> CopyIndex:
     vertices = scheme.network.vertices
     touches: dict = {}
-    transfer, inject, arrivals = [], [], {}
+    moves: dict = {}
+    transfer, inject, route_ids, arrivals = [], [], [], {}
     for u in vertices:
         for v in vertices:
             routes = scheme.plan(u, v).routes
@@ -361,36 +301,43 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
                 c = len(transfer)
                 transfer.append((u, v))
                 inject.append(t0)
+                route_ids.append(route_id)
                 path = routes[route_id].path
                 for hop in range(min(len(path) - 1, scheme.T - t0 + 1)):
                     t = t0 + hop
                     holder, receiver = path[hop], path[hop + 1]
                     touches.setdefault((t, holder), []).append((2 * c, c, holder))
                     touches.setdefault((t, receiver), []).append((2 * c + 1, c, receiver))
+                    moves.setdefault((t, u), []).append(((holder, receiver), c))
                     if receiver == v:
                         arrived.append((t, c))
             arrivals[(u, v)] = tuple(sorted(arrived))
     return CopyIndex(
         touches={key: tuple(events) for key, events in touches.items()},
+        moves={key: tuple(moved) for key, moved in moves.items()},
         transfer=tuple(transfer),
         inject=tuple(inject),
+        route=tuple(route_ids),
         arrivals=arrivals,
         silent=tuple(key for key, got in arrivals.items() if key[0] != key[1] and not got),
     )
 
 
 class SparseTransfers:
-    """The states-level back-end: visits only the copies a controlled
-    processor holds or receives, and keeps what it wrote to them as overrides.
+    """The lifted back-end: visits only the copies a controlled processor
+    holds or receives, and keeps what it wrote to them as overrides.
 
     Every other copy is honest and carries its sender's payload of its
-    injection round, which differs from the payload at decode time only for
-    a sender controlled (and so possibly rewritten) during the logical round;
-    those senders' payloads are recorded each round. A transfer from an
-    untouched sender therefore decodes to that sender's payload, without
-    listing its copies, when fewer than half of its arrived copies have an
-    override: the honest ones then hold a strict majority. Only the other
-    transfers, of touched senders or with more overrides, are decoded.
+    injection round, which differs from the sender's payload when the
+    logical round began only for a sender controlled (and so possibly
+    rewritten) during it; those senders' payloads are recorded each round. A
+    transfer from an untouched sender therefore decodes to that sender's
+    payload, without listing its copies, when fewer than half of its arrived
+    copies have an override: the honest ones then hold a strict majority.
+    Only the other transfers, of touched senders or with more overrides, are
+    decoded. Full traces also read `hops` and `buffers()`, rendered from the
+    index on demand: a copy's value is its override if it has one, else its
+    honest payload, and it is tainted exactly when it has an override.
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
@@ -399,14 +346,22 @@ class SparseTransfers:
         self.senders = senders
         self.every_sender = len(senders) == len(self.vertices)
         self.payload = payload
+        self.initial = {i: payload(i) for i in senders}
         self.t = 0
         self.sent: dict = {}  # touched sender -> its payload in rounds 1..t
         self.overrides: dict = {}  # copy -> the last value a controlled holder gave it
         self.dirty: set = set()  # transfers with an override
+        self.received: dict = {}  # copy -> its override (or None) before round t's receipt
 
     def _override(self, c: int, value) -> None:
         self.overrides[c] = value
         self.dirty.add(self.index.transfer[c])
+
+    def _honest(self, c: int):
+        """The payload copy c's sender injected into it."""
+        i = self.index.transfer[c][0]
+        sent = self.sent.get(i)
+        return self.initial[i] if sent is None else sent[self.index.inject[c] - 1]
 
     def step(self, t: int, controlled, corrupt) -> None:
         self.t = t
@@ -421,9 +376,12 @@ class SparseTransfers:
             events = touches.get((t, next(iter(controlled))), ())
         else:
             events = sorted(e for v in controlled for e in touches.get((t, v), ()))
-        transfer = self.index.transfer
-        for _order, c, v in events:
+        transfer, overrides = self.index.transfer, self.overrides
+        self.received = received = {}
+        for order, c, v in events:
             if self.every_sender or transfer[c][0] in self.senders:
+                if order & 1:  # the hop's value is what v receives
+                    received[c] = overrides.get(c)
                 self._override(c, corrupt(v))
 
     def receiver_controlled(self, pid: int, corrupt) -> None:
@@ -459,6 +417,41 @@ class SparseTransfers:
             if value is not now:
                 exceptions[key] = value
         return payloads, exceptions, fallbacks
+
+    @property
+    def hops(self) -> dict:
+        """(holder, next hop) -> the copies it moved in round t, as full
+        traces show them: the value after the holder's corruption and
+        before the receiver's."""
+        transfer, route = self.index.transfer, self.index.route
+        overrides, received = self.overrides, self.received
+        hops: dict = {}
+        for i in self.senders:
+            for link, c in self.index.moves.get((self.t, i), ()):
+                value = received[c] if c in received else overrides.get(c)
+                hops.setdefault(link, []).append({
+                    "transfer": "%d->%d" % transfer[c],
+                    "route": route[c],
+                    "value": self._honest(c) if value is None else value,
+                })
+        return hops
+
+    def buffers(self) -> dict:
+        """Each processor's collected copies as trace records, sorted."""
+        arrivals, route, overrides = self.index.arrivals, self.index.route, self.overrides
+        held: dict = {}
+        for i in self.senders:
+            for j in self.vertices:
+                for arrival, c in arrivals[(i, j)]:
+                    if arrival > self.t:
+                        break
+                    value = overrides.get(c)
+                    tainted = value is not None
+                    held.setdefault(j, []).append((
+                        f"{i}->{j}", route[c], arrival,
+                        str(value if tainted else self._honest(c)), tainted,
+                    ))
+        return {p: tuple(sorted(copies)) for p, copies in held.items()}
 
 
 # --- the reduction to the complete-network protocol -----------------------------

@@ -16,15 +16,13 @@ is rewritten, in increasing pid order, followed by the back-end's
 `receiver_controlled`. After the T-th, (4) `decode` gives each honest
 processor what its honest rule reads: `relay_update` in relay mode,
 otherwise `first_round_state` in round 1 and `histogram_update` later. Runs
-are fully deterministic given the scenario seed. The mode and the trace
-level pick the back-end:
+are fully deterministic given the scenario seed. The mode picks the
+back-end:
   direct delivery (bare, relay) — each message goes straight along its edge.
-  `comms.TransferRuns` (lifted, full traces) — the reference: one
-      `TransferRun` per ordered pair marches every copy and records the hops
-      and collected buffers the trace shows.
-  `comms.SparseTransfers` (lifted, states level) — visits only the copies a
-      controlled processor holds or receives (from the scheme's cached
-      `CopyIndex`) and treats every other copy as honest.
+  `comms.SparseTransfers` (lifted) — visits only the copies a controlled
+      processor holds or receives (from the scheme's cached `CopyIndex`)
+      and treats every other copy as honest; for a full trace it also
+      renders each round's hops and collected buffers from the index.
 In a bare or lifted pair round every receiver gets the same pair from most
 senders, so each back-end gives each sender's payload and only the
 (sender, receiver) exceptions: the pairs forged by controlled bare senders,
@@ -36,7 +34,7 @@ The strategy's hooks are called in one order, the same at both trace levels,
 so the two levels of one scenario draw the same lies. In a physical round:
   1. `controlled`;
   2. in `step`: direct delivery calls `forge` for each controlled sender in
-     increasing pid order; the lifted back-ends call `corrupt_value` for
+     increasing pid order; the lifted back-end calls `corrupt_value` for
      transfers in sorted (sender, receiver) order, each one's copies by
      (injection round, route), the holder of a hop before its receiver, and
      then for the source's stored round-1 value when the source is controlled;
@@ -53,7 +51,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .comms import LiftedProtocol, SparseTransfers, TransferRuns
+from .comms import LiftedProtocol, SparseTransfers
 from .core import (
     EMPTY,
     MANY,
@@ -364,16 +362,16 @@ class _DirectDelivery:
 
 
 class _LiftedDelivery:
-    """Lifted rounds over `TransferRuns` or `SparseTransfers`. The adversary
-    corrupts copies and forges no slots; in round 1 a controlled source also
-    has its own stored value corrupted after each `step`."""
+    """Lifted rounds over `SparseTransfers`, at both trace levels; a full
+    trace also reads its hops and buffers. The adversary corrupts copies and
+    forges no slots; in round 1 a controlled source also has its own stored
+    value corrupted after each `step`."""
 
     def __init__(self, scenario: Scenario, states: dict):
         self.scheme = scenario.lifted.scheme
         self.vertices = scenario.network.vertices
         self.states = states
         self.source_value = scenario.source_value
-        self.backend = TransferRuns if scenario.trace_level == "full" else SparseTransfers
         self.slots = {}
 
     def begin(self, r: int) -> None:
@@ -384,7 +382,7 @@ class _LiftedDelivery:
         else:
             states = self.states
             senders, payload = list(self.vertices), lambda i: states[i].emission()
-        self.transfers = self.backend(self.scheme, senders, payload)
+        self.transfers = SparseTransfers(self.scheme, senders, payload)
 
     def step(self, t: int, controlled, ctx) -> None:
         corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)

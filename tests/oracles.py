@@ -1,9 +1,11 @@
 """Brute-force oracles, independent of the implementations under test: the
-per-round protocol rules and the flow-based graph queries."""
+per-round protocol rules, the flow-based graph queries and the lifted
+transfer back-end."""
 
 import itertools
 
 from mobyz import EMPTY, MANY, Network
+from mobyz.comms import CommScheme, TransferRun
 
 
 def brute_min_separator(g, u, v):
@@ -79,3 +81,63 @@ def oracle_update(self_id, prev_decided, received, r, n, m):
         return next(iter(s))
 
     return decided, frozenset(high), frozenset(medium), summary(high), summary(medium)
+
+
+# --- reference lifted back-end: marches every copy of every transfer hop by
+# hop through `comms.TransferRun`. It has the interface of
+# `comms.SparseTransfers` (step, receiver_controlled, decode, hops,
+# buffers), so a test can put it in the engine's place -------------------------
+
+
+class TransferRuns:
+    """The reference back-end: one TransferRun per ordered pair, every copy
+    marched hop by hop. It also records what full traces show — each round's
+    hops and every processor's collected copies."""
+
+    def __init__(self, scheme: CommScheme, senders, payload):
+        vertices = scheme.network.vertices
+        self.payload = payload
+        self.senders = senders
+        self.runs = {
+            (i, j): TransferRun(scheme.plan(i, j), payload_fn=lambda _t, i=i: payload(i))
+            for i in senders
+            for j in vertices
+        }
+        self.hops: dict = {}  # (holder, receiver) -> copies moved this round
+
+    def _record_hop(self, holder, receiver, plan, route_id, value) -> None:
+        self.hops.setdefault((holder, receiver), []).append(
+            {"transfer": f"{plan.sender}->{plan.receiver}", "route": route_id, "value": value}
+        )
+
+    def step(self, t: int, controlled, corrupt) -> None:
+        self.hops = {}
+        for run in self.runs.values():  # inserted in sorted (sender, receiver) order
+            run.step(t, controlled, corrupt, self._record_hop)
+
+    def receiver_controlled(self, pid: int, corrupt) -> None:
+        for i in self.senders:
+            self.runs[(i, pid)].receiver_controlled(corrupt)
+
+    def decode(self):
+        """(payload per sender, decoded payload per transfer that decodes to
+        anything else, decodes that fell back)."""
+        payloads = {i: self.payload(i) for i in self.senders}
+        exceptions, fallbacks = {}, 0
+        for key, run in self.runs.items():
+            if not run.plan.is_self:
+                value, fell_back = run.decode()
+                fallbacks += fell_back
+                if value is not payloads[key[0]]:
+                    exceptions[key] = value
+        return payloads, exceptions, fallbacks
+
+    def buffers(self) -> dict:
+        """Each processor's collected copies as trace records, sorted."""
+        held: dict = {}
+        for (i, j), run in self.runs.items():
+            for route_id, arrival, value, tainted in run.collected:
+                held.setdefault(j, []).append(
+                    (f"{i}->{j}", route_id, arrival, str(value), tainted)
+                )
+        return {p: tuple(sorted(copies)) for p, copies in held.items()}

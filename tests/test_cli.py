@@ -82,6 +82,24 @@ def test_run_rejects_source_value_outside_the_alphabet(tmp_path, capsys):
     assert "outside the alphabet" in err
 
 
+def test_run_rejects_a_malformed_source_value(tmp_path, capsys):
+    scenario = write(tmp_path, "bad.txt", BASELINE + "source-value = banana\n")
+    code, _, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert "source-value: not a value: 'banana'" in err
+
+
+def test_run_rejects_a_malformed_cut(tmp_path, capsys):
+    scenario = write(
+        tmp_path,
+        "pair.txt",
+        "network = two-clique 4 4\nm = 1\npair = cut-set\ncut = 9,x\nobserver = 5\n",
+    )
+    code, _, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert "cut: not a list of processor ids: '9,x'" in err
+
+
 def test_run_five_set_pair_file(tmp_path, capsys):
     scenario = write(tmp_path, "pair.txt", "network = complete 5\nm = 1\npair = five-set\n")
     code, stdout, _ = invoke(capsys, "run", scenario)

@@ -20,7 +20,6 @@ from mobyz import (
     flood_scheme,
     kappa_sufficiency_bounds,
     lift,
-    majority_decode,
     make_two_clique_network,
     two_round_plan,
     two_round_scheme,
@@ -199,10 +198,10 @@ def test_flood_counting_and_decode_under_window_respecting_adversary():
 
 
 def test_majority_examples():
-    assert majority_decode([ONE, ONE, ONE, ZERO, ZERO]) == ONE
-    assert majority_decode([ONE] * 5) == ONE
+    assert _decode([ONE, ONE, ONE, ZERO, ZERO]) == (ONE, False)
+    assert _decode([ONE] * 5) == (ONE, False)
     with pytest.raises(ValueError):
-        majority_decode([])
+        _decode([])
 
 
 def test_majority_exhaustive_small_scale():
@@ -214,17 +213,17 @@ def test_majority_exhaustive_small_scale():
             copies = [ONE] * 7
             for pos, lie in zip(positions, lies):
                 copies[pos] = lie
-            assert majority_decode(copies) == ONE
+            assert _decode(copies) == (ONE, False)
 
 
 def test_majority_25_copies_12_corrupted():
     copies = [ONE] * 13 + [ZERO] * 12
-    assert majority_decode(copies) == ONE
+    assert _decode(copies) == (ONE, False)
 
 
 def test_majority_fallback_is_canonical_smallest():
-    assert majority_decode([ZERO, ONE]) == ZERO
-    assert majority_decode([MANY, ONE, ZERO, ZERO, ONE]) == ZERO
+    assert _decode([ZERO, ONE]) == (ZERO, True)
+    assert _decode([MANY, ONE, ZERO, ZERO, ONE]) == (ZERO, True)
 
 
 PAYLOADS = [EMPTY, MANY, ZERO, ONE] + [PairMessage(h, m) for h in (MANY, ZERO, ONE)

@@ -1,9 +1,12 @@
-"""States-level runs against full-trace runs of the same scenario.
+"""The lifted back-end against the marching reference, and states-level runs
+against full-trace runs of the same scenario.
 
-The trace level picks the back-end the engine's round loop drives: a
-states-level lifted run uses `comms.SparseTransfers`, which visits only the
-copies a controlled processor holds or receives, while a full-trace run
-marches every copy through `comms.TransferRun`, the reference; bare and relay
+Lifted rounds run over `comms.SparseTransfers` at both trace levels: it
+visits only the copies a controlled processor holds or receives, and a full
+trace renders the hops and buffers from its copy index. The reference,
+`oracles.TransferRuns`, marches every copy through `comms.TransferRun`; put
+in the engine's place, it must give a byte-identical full trace, count the
+same decode fallbacks and make the same adversary calls. Bare and relay
 rounds build the per-link `sent` table only for full traces. The same
 scenario at both levels must control the same processors, reach the same
 states, count the same decode fallbacks and make the same `forge`, `rewrite`
@@ -12,6 +15,7 @@ and `corrupt_value` calls in the same order.
 
 import dataclasses
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +36,9 @@ from mobyz import (
     run,
     two_round_scheme,
 )
+from mobyz import sim
 from mobyz.protocol import ProtocolParams
+from oracles import TransferRuns
 
 ONE = Value.plain(1)
 
@@ -64,6 +70,7 @@ CASES = {
         mode="relay",
     ),
 }
+LIFTED = ["flood-two-clique-5-9-m1", "two-round-cmm-13-6-m1", "two-round-complete-13-m2"]
 
 
 @functools.cache
@@ -150,3 +157,43 @@ def schedules(draw, case):
 def test_scheduled_control_matches_reference(case, data, seed):
     schedule = data.draw(schedules(case))
     assert_levels_agree(case, lambda: ScheduledControl(schedule, Strategy()), seed)
+
+
+def first_difference(text, oracle_text):
+    """The first line (physical round) at which two traces differ, or None;
+    a bare `==` would have pytest diff megabytes of text on failure."""
+    lines = itertools.zip_longest(text.splitlines(), oracle_text.splitlines())
+    return next((rho for rho, (a, b) in enumerate(lines, start=1) if a != b), None)
+
+
+def assert_matches_oracle(case, make_inner, seed):
+    """A full trace through the engine's back-end, then with the reference
+    in its place: the same text, fallbacks and adversary calls."""
+    runs = []
+    for backend in (sim.SparseTransfers, TransferRuns):
+        strategy = Logged(make_inner())
+        scenario = dataclasses.replace(_base(case), strategy=strategy, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "SparseTransfers", backend)
+            trace = run(scenario)
+        runs.append((trace.to_text(), trace.decode_fallbacks, strategy.calls))
+    (text, fallbacks, calls), (oracle_text, oracle_fallbacks, oracle_calls) = runs
+    assert first_difference(text, oracle_text) is None
+    assert fallbacks == oracle_fallbacks
+    assert calls == oracle_calls
+    assert calls  # the adversary did act
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_control_matches_oracle(case, seed):
+    assert_matches_oracle(case, RandomizedControl, seed)
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scheduled_control_matches_oracle(case, data, seed):
+    schedule = data.draw(schedules(case))
+    assert_matches_oracle(case, lambda: ScheduledControl(schedule, Strategy()), seed)

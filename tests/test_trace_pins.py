@@ -84,6 +84,10 @@ def _lifted_states(g, m, scheme, seed):
     )
 
 
+def _lifted_full(g, m, scheme, seed):
+    return dataclasses.replace(_lifted_states(g, m, scheme, seed), trace_level="full")
+
+
 def _lifted_two_round_states(g, m, seed):
     return _lifted_states(g, m, two_round_scheme(g, m), seed)
 
@@ -125,6 +129,10 @@ SCENARIOS = {
     "bare-13-counterfactual-states": lambda: _bare_counterfactual("states"),
     "bare-13-counterfactual-full": lambda: _bare_counterfactual("full"),
     "lifted-two-round-13-full": _lifted_two_round,
+    "lifted-two-round-complete-13-m2-full": lambda: _lifted_full(
+        complete_network(13), 2, two_round_scheme(complete_network(13), 2), 5),
+    "lifted-flood-two-clique-5-9-full": lambda: _lifted_full(
+        make_two_clique_network(5, 9), 1, flood_scheme(make_two_clique_network(5, 9), 1, 9), 3),
     "lifted-two-round-cmm-13-states": lambda: _lifted_two_round_states(
         complete_minus_matching(13, 6), 1, 7),
     "lifted-two-round-cmm-19-states": lambda: _lifted_two_round_states(
@@ -178,6 +186,9 @@ PINS = {
     "relay-five-set-15-3-swap-a-states": "26a7fb08b5dc0968e5a5177ecd793234f7976e301228de2f05ba3f1b58228ed5",
     "relay-five-set-15-3-swap-b-states": "5bf5f2edb325d24ff64e739cc9d17a77fe0b6ead3462dacf2cec2f2d77e5c996",
     "relay-random-two-clique-4-4-states": "060ce36a8204161792cbea6192a13020c352b2e207149bccfe758574851e6fdd",
+    # generated on the engine before full-trace lifted runs left TransferRun
+    "lifted-flood-two-clique-5-9-full": "38b9cd939441ca074acd74f6b1c1141c7d1cb58b576e4a458f033031751363a1",
+    "lifted-two-round-complete-13-m2-full": "64d291584a260a7b24cc9caaf7a78fc75a26f2efdd4b0d8cf7e959de6c6053cc",
 }
 
 
