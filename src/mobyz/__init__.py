@@ -24,11 +24,10 @@ from .graphs import (
     cycle_network,
     disjoint_paths,
     local_connectivity,
-    local_connectivity_avoiding_source,
     make_two_clique_network,
     min_degree,
-    min_separator_certificate,
     read_edge_list,
+    source_separation,
     star_network,
     vertex_connectivity,
     write_edge_list,

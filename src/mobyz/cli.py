@@ -255,18 +255,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    m = args.m
+    s = args.source
     try:
         g = graphs.read_edge_list(Path(args.graph).read_text())
+        if g.n < 3:
+            raise ValueError(f"analyze needs at least three vertices, got {g.n}")
+        if m < 1:
+            raise ValueError(f"-m must be at least 1, got {m}")
+        if not 1 <= s <= g.n:
+            raise ValueError(f"--source {s} is not a vertex of 1..{g.n}")
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    m = args.m
-    s = args.source
     n = g.n
     delta = graphs.min_degree(g)
     kappa = graphs.vertex_connectivity(g)
-    local = graphs.local_connectivity_avoiding_source(g, s)
-    cert = graphs.min_separator_certificate(g, s)
+    local, cert = graphs.source_separation(g, s)
 
     print(f"n: {n}   edges: {g.edge_count()}   m: {m}   source: {s}")
     print(f"min degree: {delta}")

@@ -10,13 +10,18 @@ The connectivity queries run only the flows their answers need.
 connectivities of graphs and digraphs", 1984): with v a smallest-id vertex of
 minimum degree, every minimum separator either misses v, and then separates v
 from a non-neighbour, or contains v, and then separates two non-adjacent
-neighbours of v, so only those pairs get a flow. The min-queries cap each
-pair at the best count found so far: a flow that stops below its cap is a
-maximum flow, and one that reaches it cannot improve the minimum. A pair
-whose common neighbours (plus the direct edge) already reach the cap gets
-no flow at all. Capping only cuts augmentation short, so every flow that
-runs to the end, and with it every `disjoint_paths` system and separator
-certificate, is the one an uncapped search finds.
+neighbours of v, so only those pairs get a flow. `source_separation` gives
+both source figures of the impossibility test, the source-avoiding local
+connectivity and a separator certificate, from one pass over the source's
+pairs. The min-queries cap each pair at the best count found so far: a flow
+that stops below its cap is a maximum flow, and one that reaches it cannot
+improve the minimum. A pair whose common neighbours (plus the direct edge)
+already reach the cap gets no flow at all. Capping only cuts augmentation
+short, so every flow that runs to the end, and with it every
+`disjoint_paths` system and separator certificate, is the one an uncapped
+search finds. A maximum flow's last, failed search visits exactly the
+residual nodes reachable from the source, and the certificate's cut is read
+from them.
 """
 
 from __future__ import annotations
@@ -169,23 +174,24 @@ def _residual_successors(g, node, through, edge_flow, s, t):
     return succs
 
 
-def _augment(g: Network, s: int, t: int, through: set, edge_flow: set) -> bool:
+def _augment(g: Network, s: int, t: int, through: set, edge_flow: set):
+    """Push one unit along the first augmenting path and return None; with
+    no path left, return the residual nodes the search visited, which are
+    all those reachable from ("out", s)."""
     start = ("out", s)
     goal = ("in", t)
     prev = {start: None}
     stack = [start]
-    found = False
     while stack:
         node = stack.pop()
         if node == goal:
-            found = True
             break
         for nxt in reversed(_residual_successors(g, node, through, edge_flow, s, t)):
             if nxt not in prev:
                 prev[nxt] = node
                 stack.append(nxt)
-    if not found:
-        return False
+    else:
+        return prev.keys()
     path = []
     node = goal
     while node is not None:
@@ -207,21 +213,28 @@ def _augment(g: Network, s: int, t: int, through: set, edge_flow: set) -> bool:
             through.discard(a[1])
         elif a[0] == "in" and b[0] == "out":
             edge_flow.discard((b[1], a[1]))
-    return True
+    return None
 
 
 def _max_disjoint_flow(g: Network, s: int, t: int, limit=None):
-    """Maximum internally-disjoint s-t path count, with the final flow state.
+    """Maximum internally-disjoint s-t path count, with the final flow state
+    and the residual nodes reachable from s.
 
     With a `limit`, augmenting stops once the count reaches it; a count below
-    the limit is still the maximum, and its flow a maximum flow.
+    the limit is still the maximum, and its flow a maximum flow. The
+    reachable set comes from the final, failed search, so it is None when
+    the limit stopped the flow.
     """
     through: set = set()
     edge_flow: set = set()
     count = 0
-    while (limit is None or count < limit) and _augment(g, s, t, through, edge_flow):
+    reach = None
+    while limit is None or count < limit:
+        reach = _augment(g, s, t, through, edge_flow)
+        if reach is not None:
+            break
         count += 1
-    return count, through, edge_flow
+    return count, through, edge_flow, reach
 
 
 def _capped_count(g: Network, s: int, t: int, cap: int) -> int:
@@ -263,46 +276,40 @@ def vertex_connectivity(g: Network) -> int:
     return best
 
 
-def local_connectivity_avoiding_source(g: Network, s: int) -> int:
-    """min over p != s of the s-p disjoint-path count; <= 4m certifies the
-    impossibility hypothesis when the minimizing pair admits a separator.
+def source_separation(g: Network, s: int):
+    """Both source figures of the impossibility test, from one pass of
+    flows: (local, certificate).
 
-    Non-neighbours of s come first, so their low counts cap the later pairs;
-    no count exceeds the degree of s.
+    `local` is the minimum over p != s of the s-p disjoint-path count.
+    `certificate` is a smallest separator avoiding s, as (size, cut,
+    separated vertex), or None when s is adjacent to every other vertex:
+    only its non-neighbours can be separated from it. The pass takes the
+    non-neighbours in vertex order, then the neighbours, each capped at the
+    best count so far (from the degree of s, which no count exceeds). The
+    separated vertex is the first non-neighbour with the smallest count: the
+    first flow runs uncapped, only a smaller count replaces it, and the
+    common-neighbour skip starts once it exists, so its flow is a maximum
+    flow. The cut is read from that flow's residual graph: vertices whose
+    in-node is reachable from s but whose out-node is not.
     """
-    if g.n < 3:
-        raise ValueError("needs at least three vertices")
-    order = sorted((p for p in g.vertices if p != s), key=lambda p: g.adjacent(s, p))
-    best = g.degree(s)
-    for p in order:
-        best = _capped_count(g, s, p, best)
-    return best
-
-
-def min_separator_certificate(g: Network, s: int):
-    """Smallest separator avoiding s, as (size, cut, separated vertex).
-
-    Only pairs (s, p) with p not adjacent to s admit separators; returns None
-    when s is adjacent to every other vertex. The separated vertex is the
-    first in vertex order with the smallest count; only a smaller count
-    replaces it, so each later pair is capped at the best count so far.
-    The cut comes from the max-flow residual: vertices with in-node reachable
-    from s but out-node not.
-    """
-    best = None
+    if g.n < 2:
+        raise ValueError("source separation needs at least two vertices")
+    best = None  # (count, residual nodes reachable from s, separated vertex)
     for p in g.vertices:
         if p == s or g.adjacent(s, p):
             continue
         limit = None if best is None else best[0]
         if limit is not None and len(common_neighbors(g, s, p)) >= limit:
             continue
-        count, through, edge_flow = _max_disjoint_flow(g, s, p, limit)
-        if limit is None or count < limit:
-            best = (count, through, edge_flow, p)
+        count, _, _, reach = _max_disjoint_flow(g, s, p, limit)
+        if reach is not None:
+            best = (count, reach, p)
+    local = g.degree(s) if best is None else best[0]
+    for p in g.sorted_neighbors(s):
+        local = _capped_count(g, s, p, local)
     if best is None:
-        return None
-    count, through, edge_flow, p = best
-    reach = _reachable_in_residual(g, s, p, through, edge_flow)
+        return local, None
+    count, reach, p = best
     cut = frozenset(
         v for v in g.vertices
         if v not in (s, p) and ("in", v) in reach and ("out", v) not in reach
@@ -312,19 +319,7 @@ def min_separator_certificate(g: Network, s: int):
             f"residual cut {sorted(cut)} is no separator of size {count} "
             f"between {s} and {p}"
         )
-    return count, cut, p
-
-
-def _reachable_in_residual(g: Network, s: int, t: int, through: set, edge_flow: set) -> set:
-    seen = {("out", s)}
-    stack = [("out", s)]
-    while stack:
-        node = stack.pop()
-        for nxt in _residual_successors(g, node, through, edge_flow, s, t):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    return local, (count, cut, p)
 
 
 def disjoint_paths(g: Network, u: int, v: int, k: int) -> PathSystem:
@@ -334,7 +329,7 @@ def disjoint_paths(g: Network, u: int, v: int, k: int) -> PathSystem:
     """
     if u == v:
         raise ValueError("u and v must differ")
-    count, _, edge_flow = _max_disjoint_flow(g, u, v)
+    count, _, edge_flow, _ = _max_disjoint_flow(g, u, v)
     if k > count:
         raise ValueError(
             f"requested {k} disjoint paths between {u} and {v}; maximum is {count}"

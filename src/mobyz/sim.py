@@ -655,29 +655,31 @@ def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
 
 
 def check_support_claim(trace: Trace, scenario: Scenario) -> list:
-    """Violations of the crystallization claim: for every R >= 2 with the
-    pivot honest through rounds 2R-2 and 2R-1, all processors honest in round
-    2R-1 must end it with one common (high, medium) value."""
-    if scenario.mode != "bare":
-        raise ValueError("the claim applies to the bare protocol")
-    n = scenario.n
+    """Violations of the crystallization claim: for every R >= 2 whose
+    pivot, processor R, is honest through its `_round_window`, all
+    processors honest through logical round 2R-1's `_logical_guard` must end
+    that round with one common (high, medium) value. In a bare run these are
+    rounds 2R-2 and 2R-1, and round 2R-1."""
+    if scenario.params is None:
+        raise ValueError("the claim applies to the agreement protocol, not relay mode")
+    n, T = scenario.n, scenario.T
     violations = []
     for R in range(2, n + 1):
-        if 2 * R - 1 > scenario.rounds:
+        r = 2 * R - 1
+        if r > scenario.rounds // T:
             break
-        if R in trace.controlled_in(2 * R - 2) or R in trace.controlled_in(2 * R - 1):
+        if any(R in trace.controlled_in(rho) for rho in _round_window(scenario, R)):
             continue
-        honest = [
-            p
-            for p in range(1, n + 1)
-            if p not in trace.controlled_in(2 * R - 1)
-        ]
-        states = trace.rounds[2 * R - 2].states_after
+        faulty = frozenset().union(
+            *(trace.controlled_in(rho) for rho in _logical_guard(scenario, r))
+        )
+        honest = [p for p in range(1, n + 1) if p not in faulty]
+        states = trace.rounds[r * T - 1].states_after
         summary = {(states[p].high, states[p].medium) for p in honest}
         pairs_equal = all(states[p].high == states[p].medium for p in honest)
         if len(summary) > 1 or not pairs_equal:
             violations.append(
-                f"R={R}: round {2 * R - 1} summaries "
+                f"R={R}: round {r} summaries "
                 + ", ".join(f"p{p}=({states[p].high},{states[p].medium})" for p in honest)
             )
     return violations

@@ -230,6 +230,7 @@ def test_criterion_8_lifted_protocol_campaign():
     assert graphs.min_degree(g) > threshold  # the degree bound holds
     lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1))
     failures = 0
+    claim_violations = 0
     round_counts = set()
     for seed in range(200):
         sc = Scenario(
@@ -246,13 +247,14 @@ def test_criterion_8_lifted_protocol_campaign():
         round_counts.add(len(trace.rounds))
         if not check_agreement(trace, sc).ok:
             failures += 1
-    ok = failures == 0 and round_counts == {52}
+        claim_violations += len(check_support_claim(trace, sc))
+    ok = failures == 0 and claim_violations == 0 and round_counts == {52}
     report(
         8,
         ok,
         f"lifted two-round protocol on K13 minus a perfect matching: 200 "
-        f"seeds, {failures} failures, physical rounds {sorted(round_counts)} "
-        f"(= 2nT = 52)",
+        f"seeds, {failures} failures, {claim_violations} pivot-round summary "
+        f"violations, physical rounds {sorted(round_counts)} (= 2nT = 52)",
     )
 
 
@@ -281,7 +283,7 @@ def test_criterion_9_graph_oracle_equivalence():
             mismatches += 1
             continue
         if g.n >= 3:
-            mine = graphs.local_connectivity_avoiding_source(g, 1)
+            mine = graphs.source_separation(g, 1)[0]
             brute = min(
                 brute_local_connectivity(g, 1, p) for p in range(2, g.n + 1)
             )
@@ -302,7 +304,7 @@ def test_criterion_9_separator_certificate_oracle():
     mismatches = 0
     for g in catalog:
         far = [p for p in range(2, g.n + 1) if not g.adjacent(1, p)]
-        cert = graphs.min_separator_certificate(g, 1)
+        cert = graphs.source_separation(g, 1)[1]
         if not far:
             mismatches += cert is not None
             continue

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import random
+
+import pytest
 
 from mobyz import cli, graphs, sim
 
@@ -177,6 +181,87 @@ def test_analyze_unknown_when_no_bound_applies(tmp_path, capsys):
     assert "UNKNOWN" in stdout
 
 
+def _relabelled(g, seed):
+    """g with its vertex ids permuted by a seeded shuffle."""
+    ids = list(g.vertices)
+    random.Random(seed).shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+    return graphs.Network(g.n, [(new[u], new[v]) for u, v in g.edges()])
+
+
+# SHA-256 of `mobyz analyze` stdout, as (graph, m, source, digest): the six
+# benchmark graphs at their m, a source adjacent to every vertex (no
+# certificate), a source on the far side of a cut, and two relabellings that
+# move the certificate. Generated before the source queries shared one flow
+# pass; every figure and certificate must stay the same.
+ANALYZE_PINS = {
+    "two-clique 8 4 m=1": (
+        lambda: graphs.make_two_clique_network(8, 4), 1, 1,
+        "3513cf532fc553dde6b1b3a2003baab8a0d05e0b7e7332014fed519b0cb6466d",
+    ),
+    "two-clique 10 8 m=2": (
+        lambda: graphs.make_two_clique_network(10, 8), 2, 1,
+        "114eb991948a58a3e66f3e701499b80be3bf8c95c93bf9da9ba5d46b2d873764",
+    ),
+    "two-clique 12 10 m=2": (
+        lambda: graphs.make_two_clique_network(12, 10), 2, 1,
+        "8a92065e42a220c3bc8fa65998a643ba5466ebfb1818afa00b9494a87bc6e5f4",
+    ),
+    "two-clique 20 12 m=3": (
+        lambda: graphs.make_two_clique_network(20, 12), 3, 1,
+        "aea796ec8bb1b4cf720eec903b18d53c8312fab1643afe6723c6e8937827a847",
+    ),
+    "complete-minus-matching 19 9 m=1": (
+        lambda: graphs.complete_minus_matching(19, 9), 1, 1,
+        "1c407919317f8f736649af3f31bd935aaaca08516fffaaefcc55e3c20a74d20b",
+    ),
+    "cycle 40 m=1": (
+        lambda: graphs.cycle_network(40), 1, 1,
+        "029cc9079bec33938ec2e2b550d7f6a683fd7e0ef51a9e4e48de97421435ca35",
+    ),
+    "star 9 m=1": (
+        lambda: graphs.star_network(9), 1, 1,
+        "e910f3c6116b7a5ff6b97fadf921224285a56b37f345c082e783f696abe387ed",
+    ),
+    "two-clique 10 8 m=2 source 12": (
+        lambda: graphs.make_two_clique_network(10, 8), 2, 12,
+        "9e3eb64f8b7d2140fd8903fdbd6bd40f1cd3faca5370c11ddfc1f831172add68",
+    ),
+    "two-clique 8 4 m=1 relabelled 1": (
+        lambda: _relabelled(graphs.make_two_clique_network(8, 4), 1), 1, 1,
+        "141acae55c0534f97db7a80ec75fa9aa64c38e1f2ff0ef66b5e062b6508321f1",
+    ),
+    "cycle 40 m=1 relabelled 2": (
+        lambda: _relabelled(graphs.cycle_network(40), 2), 1, 1,
+        "cd920c46305f08be87a075245e5328d8e1b821b5d48e0fc986c0bf23c4dab917",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+def test_analyze_stdout_pin(name, tmp_path, capsys):
+    graph, m, source, digest = ANALYZE_PINS[name]
+    path = write(tmp_path, "g.edges", graphs.write_edge_list(graph()))
+    code, stdout, _ = invoke(capsys, "analyze", path, "-m", str(m), "--source", str(source))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("edges, argv, message", [
+    ("1 2\n2 3\n", ["-m", "0"], "-m must be at least 1, got 0"),
+    ("1 2\n2 3\n", ["-m", "-1"], "-m must be at least 1, got -1"),
+    ("1 2\n2 3\n", ["-m", "1", "--source", "99"], "--source 99 is not a vertex of 1..3"),
+    ("1 2\n2 3\n", ["-m", "1", "--source", "0"], "--source 0 is not a vertex of 1..3"),
+    ("1 2\n", ["-m", "1"], "analyze needs at least three vertices, got 2"),
+], ids=["m-zero", "m-negative", "source-too-large", "source-zero", "two-vertices"])
+def test_analyze_rejects_bad_input(tmp_path, capsys, edges, argv, message):
+    path = write(tmp_path, "g.edges", edges)
+    code, stdout, err = invoke(capsys, "analyze", path, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_campaign_aggregates(tmp_path, capsys):
     scenario = write(tmp_path, "s.txt", BASELINE)
     code, stdout, _ = invoke(capsys, "campaign", scenario, "--seeds", "50")
@@ -230,7 +315,7 @@ def test_analyze_impossible_consistent_with_local_connectivity(tmp_path, capsys)
         code, stdout, _ = invoke(capsys, "analyze", path, "-m", str(m))
         assert code == 0
         if "IMPOSSIBLE" in stdout:
-            assert graphs.local_connectivity_avoiding_source(g, 1) <= 4 * m
+            assert graphs.source_separation(g, 1)[0] <= 4 * m
 
 
 def test_generate_roundtrip(tmp_path, capsys):

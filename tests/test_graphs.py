@@ -18,11 +18,10 @@ from mobyz import (
     flood_scheme,
     graphs,
     local_connectivity,
-    local_connectivity_avoiding_source,
     make_two_clique_network,
     min_degree,
-    min_separator_certificate,
     read_edge_list,
+    source_separation,
     star_network,
     vertex_connectivity,
     write_edge_list,
@@ -70,22 +69,22 @@ def test_vertex_connectivity_examples():
 
 
 def test_local_connectivity_avoiding_source_examples():
-    assert local_connectivity_avoiding_source(complete_network(7), 1) == 6
-    assert local_connectivity_avoiding_source(make_two_clique_network(4, 4), 1) == 4
+    assert source_separation(complete_network(7), 1)[0] == 6
+    assert source_separation(make_two_clique_network(4, 4), 1)[0] == 4
     star = star_network(6)
-    assert local_connectivity_avoiding_source(star, 2) == 1
+    assert source_separation(star, 2)[0] == 1
 
 
 def test_separator_certificate_two_clique():
     g = make_two_clique_network(4, 4)
-    size, cut, far = min_separator_certificate(g, 1)
+    size, cut, far = source_separation(g, 1)[1]
     assert size == 4
     assert cut == frozenset({9, 10, 11, 12})
     assert not g.connected_avoiding(1, far, cut)
 
 
 def test_separator_certificate_none_for_universal_source():
-    assert min_separator_certificate(star_network(5), 1) is None
+    assert source_separation(star_network(5), 1)[1] is None
 
 
 def test_disjoint_paths_examples():
@@ -145,7 +144,7 @@ def test_two_clique_parameter_sweep():
         for b in (1, 2, 4):
             g = make_two_clique_network(c, b)
             assert min_degree(g) == c - 1 + b
-            assert local_connectivity_avoiding_source(g, 1) == b
+            assert source_separation(g, 1)[0] == b
 
 
 def test_min_degree_at_least_connectivity():
@@ -266,7 +265,7 @@ def test_separator_certificate_matches_networkx():
         G = _as_networkx(g)
         for s in sorted({1, rng.randint(1, g.n)}):
             far = [p for p in g.vertices if p != s and not g.adjacent(s, p)]
-            cert = min_separator_certificate(g, s)
+            cert = source_separation(g, s)[1]
             if not far:
                 assert cert is None
                 continue
@@ -285,14 +284,14 @@ def test_max_flow_leaves_no_passage_without_edges():
     g = Network(10, [(1, 2), (1, 4), (1, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6),
                      (3, 9), (3, 10), (4, 5), (5, 10), (6, 7), (6, 8), (7, 8), (8, 9),
                      (9, 10)])
-    count, through, edge_flow = graphs._max_disjoint_flow(g, 1, 10)
+    count, through, edge_flow, _ = graphs._max_disjoint_flow(g, 1, 10)
     assert count == 3
     assert through == {a for a, _ in edge_flow if a != 1}
     assert disjoint_paths(g, 1, 10, 3).paths == (
         (1, 2, 9, 10), (1, 4, 5, 10), (1, 7, 6, 3, 10),
     )
     assert vertex_connectivity(g) == 3
-    assert min_separator_certificate(g, 1) == (3, frozenset({2, 4, 7}), 3)
+    assert source_separation(g, 1)[1] == (3, frozenset({2, 4, 7}), 3)
 
 
 def _flood_plans_text():
@@ -347,9 +346,11 @@ def test_certificate_check_survives_optimized_mode():
     src = str(Path(mobyz.__file__).resolve().parent.parent)
     code = (
         "from mobyz import graphs\n"
-        "graphs._reachable_in_residual = lambda g, s, t, through, edge_flow: {('out', s)}\n"
+        "augment = graphs._augment\n"
+        "graphs._augment = lambda g, s, t, through, edge_flow: (\n"
+        "    augment(g, s, t, through, edge_flow) and {('out', s)})\n"
         "try:\n"
-        "    graphs.min_separator_certificate(graphs.make_two_clique_network(4, 4), 1)\n"
+        "    graphs.source_separation(graphs.make_two_clique_network(4, 4), 1)\n"
         "except RuntimeError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

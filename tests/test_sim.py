@@ -204,6 +204,13 @@ def test_support_claim_clean_on_random_runs():
         assert check_support_claim(run(sc), sc) == []
 
 
+def test_support_claim_rejects_relay_runs():
+    sc = Scenario(network=make_two_clique_network(4, 4), m=1, source_value=ONE,
+                  strategy=RandomizedControl(), mode="relay")
+    with pytest.raises(ValueError, match="not relay mode"):
+        check_support_claim(run(sc), sc)
+
+
 def test_lifted_run_counts_and_verdict():
     g = complete_minus_matching(13, 6)
     lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1))
@@ -400,7 +407,9 @@ def test_lifted_guarantee_under_pivot_targeted_control():
     violations = []
     for seed in range(200):
         sc = _lifted_cmm_13(_SourceThenPivotTwo(), seed)
-        verdict = check_agreement(run(sc), sc)
+        trace = run(sc)
+        verdict = check_agreement(trace, sc)
         assert verdict.first_stable_round is None or verdict.first_stable_round >= 6
         violations += [(seed, v) for v in verdict.guarantee_violations]
+        violations += [(seed, v) for v in check_support_claim(trace, sc)]
     assert violations == []
