@@ -330,12 +330,13 @@ class SparseTransfers:
     Every other copy is honest and carries its sender's payload of its
     injection round, which differs from the sender's payload when the
     logical round began only for a sender controlled (and so possibly
-    rewritten) during it; those senders' payloads are recorded each round. A
-    transfer from an untouched sender therefore decodes to that sender's
-    payload, without listing its copies, when fewer than half of its arrived
-    copies have an override: the honest ones then hold a strict majority.
-    Only the other transfers, of touched senders or with more overrides, are
-    decoded. Full traces also read `hops` and `buffers()`, rendered from the
+    rewritten) during it; those senders' payloads are recorded each round.
+    When all of a transfer's honest copies carry one payload (its sender is
+    untouched, or kept one payload through every round recorded) and fewer
+    than half of its arrived copies have an override, the honest ones hold
+    a strict majority, so it decodes to that payload without listing its
+    copies. Only the other transfers, of senders whose payload changed or
+    with more overrides, are decoded. Full traces also read `hops` and `buffers()`, rendered from the
     index on demand: a copy's value is its override if it has one, else its
     honest payload, and it is tainted exactly when it has an override.
     """
@@ -401,11 +402,15 @@ class SparseTransfers:
         for i in self.sent:
             pending.update((i, j) for j in self.vertices if j != i)
         pending.update(key for key in self.index.silent if key[0] in payloads)
+        kept = {i: sent[0] for i, sent in self.sent.items() if sent.count(sent[0]) == len(sent)}
         exceptions, fallbacks = {}, 0
         for key in pending:  # decodes are pure, so their order is immaterial
             now, sent = payloads[key[0]], self.sent.get(key[0])
             copies = arrivals[key]
-            if sent is None and _honest_majority(copies, overrides):
+            single = now if sent is None else kept.get(key[0])
+            if single is not None and _honest_majority(copies, overrides):
+                if single is not now:
+                    exceptions[key] = single
                 continue
             values = [
                 overrides[c] if c in overrides

@@ -27,8 +27,12 @@ In a bare or lifted pair round every receiver gets the same pair from most
 senders, so each back-end gives each sender's payload and only the
 (sender, receiver) exceptions: the pairs forged by controlled bare senders,
 or the transfers that decode to anything but the sender's payload.
-`_count_pairs` counts the payloads once and corrects each honest receiver
-for its own exceptions.
+`_count_pairs` counts the payloads once and groups the honest receivers
+into classes by their exception signature, the (sender, payload)
+exceptions addressed to them; each class gets one corrected histogram.
+`histogram_update` reads nothing else of a receiver than its `decided` and
+whether it is the pivot, so `_update_classes` runs it once per (class,
+decided, is pivot) and those receivers share the resulting state.
 
 The strategy's hooks are called in one order, the same at both trace levels,
 so the two levels of one scenario draw the same lies. In a physical round:
@@ -41,7 +45,10 @@ so the two levels of one scenario draw the same lies. In a physical round:
   3. for each controlled pid in increasing order, `rewrite`, then (lifted)
      `corrupt_value` for each of its stored copies in arrival order.
 Honest rules draw nothing. An honest copy carries its sender's payload at
-step time, before that round's rewrites.
+step time, before that round's rewrites. Every lie is drawn from the run's
+one `random.Random(seed)`; `StepContext` draws a random value with the
+`getrandbits` calls `rng.choice` would make, so the stream, and with it every
+trace, is the one `choice` gives.
 """
 
 from __future__ import annotations
@@ -198,16 +205,25 @@ def _value_choices(alphabet_size: int) -> tuple:
 
 
 @functools.cache
-def _pair_choices(alphabet_size: int) -> dict:
-    """Every random payload pair, by high and then medium half."""
+def _draw_tables(alphabet_size: int) -> tuple:
+    """(k, size, values, pairs): `_value_choices` as `values`, its size, the
+    k = size.bit_length() random bits that index it, and every pair by the
+    indices of its high and medium halves."""
     values = _value_choices(alphabet_size)
-    return {high: {medium: PairMessage(high, medium) for medium in values}
-            for high in values}
+    size = len(values)
+    pairs = tuple(tuple(PairMessage(high, medium) for medium in values) for high in values)
+    return size.bit_length(), size, values, pairs
 
 
 @dataclass
 class StepContext:
-    """What adversary hooks get to see: the full run so far, never less."""
+    """What adversary hooks get to see: the full run so far, never less.
+
+    A random value is `_value_choices(alphabet_size)[i]` for an index i read
+    from k = len(choices).bit_length() bits of `rng.getrandbits`, redrawn
+    while it falls past the end: exactly the draws `rng.choice(choices)`
+    makes, so the seed's stream is the one `choice` would consume. A random
+    pair draws its high and then its medium that way."""
 
     scenario: Scenario
     round: int
@@ -221,13 +237,24 @@ class StepContext:
         return self._slots.get(pid, [])
 
     def random_value(self) -> Value:
-        return self.rng.choice(_value_choices(self.scenario.alphabet_size))
+        k, size, values, _pairs = _draw_tables(self.scenario.alphabet_size)
+        i = self.rng.getrandbits(k)
+        while i >= size:
+            i = self.rng.getrandbits(k)
+        return values[i]
 
     def random_payload(self):
         if self.payload_kind == "value":
             return self.random_value()
-        high = self.random_value()
-        return _pair_choices(self.scenario.alphabet_size)[high][self.random_value()]
+        k, size, _values, pairs = _draw_tables(self.scenario.alphabet_size)
+        bits = self.rng.getrandbits
+        high = bits(k)
+        while high >= size:
+            high = bits(k)
+        medium = bits(k)
+        while medium >= size:
+            medium = bits(k)
+        return pairs[high][medium]
 
     def random_state(self) -> ProcessorState:
         pool = [Value.plain(i) for i in range(self.scenario.alphabet_size)] + [MANY]
@@ -410,29 +437,35 @@ class _LiftedDelivery:
         return self.transfers.hops, self.transfers.buffers()
 
 
-def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int) -> dict:
-    """What each honest receiver p's `histogram_update` reads in pair round
-    r: the high and medium count histograms of the n pairs p received, and
-    the pivot's high (None when the pivot index exceeds n). Sender i sent
+def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int) -> list:
+    """What the honest receivers' `histogram_update` reads in pair round r,
+    one entry per receiver class: (its receivers, in `honest` order; the
+    high and medium count histograms of the n pairs each of them received;
+    the pivot's high, None when the pivot index exceeds n). Sender i sent
     payloads[i] to every receiver except where exceptions[(i, p)] says what
     p got instead; a sender absent from `payloads` reaches receivers only
-    through exceptions. The payloads are counted once, and a receiver with
-    exceptions gets corrected copies of the shared histograms."""
+    through exceptions. A receiver's class is its exception signature, the
+    (sender, payload) exceptions addressed to it in sender order, and the
+    receivers without exceptions share one class. The payloads are counted
+    once, and each other class gets corrected copies of the histograms."""
     high_base, medium_base = {}, {}
     for msg in payloads.values():
         high_base[msg.high] = high_base.get(msg.high, 0) + 1
         medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
     by_receiver: dict = {}
-    for (i, p), msg in exceptions.items():
+    for (i, p), msg in sorted(exceptions.items()):  # keys are unique: no msg compared
         by_receiver.setdefault(p, []).append((i, msg))
+    classes: dict = {}
+    for p in honest:
+        classes.setdefault(tuple(by_receiver.get(p, ())), []).append(p)
     pivot = pivot_index(r)
     base_pivot = payloads.get(pivot)
-    received = {}
-    for p in honest:
+    counted = []
+    for signature, receivers in classes.items():
         high_counts, medium_counts, pivot_msg = high_base, medium_base, base_pivot
-        if p in by_receiver:
+        if signature:
             high_counts, medium_counts = dict(high_base), dict(medium_base)
-            for i, msg in by_receiver[p]:
+            for i, msg in signature:
                 replaced = payloads.get(i)
                 if replaced is not None:  # a count of 0 reads as never received
                     high_counts[replaced.high] -= 1
@@ -441,8 +474,26 @@ def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int)
                 medium_counts[msg.medium] = medium_counts.get(msg.medium, 0) + 1
                 if i == pivot:
                     pivot_msg = msg
-        received[p] = (high_counts, medium_counts, pivot_msg.high if pivot <= n else None)
-    return received
+        pivot_high = pivot_msg.high if pivot <= n else None
+        counted.append((receivers, (high_counts, medium_counts, pivot_high)))
+    return counted
+
+
+def _update_classes(states: dict, counted: list, r: int, params: ProtocolParams) -> None:
+    """Apply `histogram_update` to every receiver of `_count_pairs`' classes,
+    in place. The rule reads of a receiver only the class's counts, its
+    `decided` and whether it is the round's pivot, so it runs once per
+    (class, decided, is pivot) and the receivers of each share the frozen
+    result."""
+    pivot = pivot_index(r)
+    for receivers, counts in counted:
+        updated: dict = {}
+        for p in receivers:
+            state = states[p]
+            key = (state.decided, p == pivot)
+            if key not in updated:
+                updated[key] = histogram_update(p, state, *counts, r, params)
+            states[p] = updated[key]
 
 
 def run(scenario: Scenario) -> Trace:
@@ -454,14 +505,7 @@ def run(scenario: Scenario) -> Trace:
     trace = Trace(n=g.n)
     full = scenario.trace_level == "full"
     states = {p: ProcessorState() for p in g.vertices}  # updated in place
-    if scenario.mode == "relay":
-        def honest(p, state, got, r):
-            return relay_update(p, state, got, r, scenario.source_value)
-    else:
-        def honest(p, state, got, r):
-            if r == 1:
-                return first_round_state(got)
-            return histogram_update(p, state, *got, r, scenario.params)
+    relay = scenario.mode == "relay"
     delivery = (_LiftedDelivery if scenario.mode == "lifted" else _DirectDelivery)(
         scenario, states
     )
@@ -483,8 +527,14 @@ def run(scenario: Scenario) -> Trace:
                     [p for p in g.vertices if p not in controlled]
                 )
                 trace.decode_fallbacks += fallbacks
-                for p, got in received.items():
-                    states[p] = honest(p, states[p], got, lr)
+                if relay:
+                    for p, got in received.items():
+                        states[p] = relay_update(p, states[p], got, lr, scenario.source_value)
+                elif lr == 1:
+                    for p, got in received.items():
+                        states[p] = first_round_state(got)
+                else:
+                    _update_classes(states, received, lr, scenario.params)
 
             sent, held = delivery.shown() if full else ({}, None)
             if held is not None:
@@ -567,6 +617,15 @@ def _logical_guard(scenario: Scenario, r: int):
     return list(range(r * T - K + 1, r * T + 1))
 
 
+def _covered(trace: Trace, scenario: Scenario, r: int) -> list:
+    """The processors honest through logical round r's `_logical_guard`,
+    in pid order: the ones round r's guarantee covers."""
+    faulty = frozenset().union(
+        *(trace.controlled_in(rho) for rho in _logical_guard(scenario, r))
+    )
+    return [p for p in range(1, scenario.n + 1) if p not in faulty]
+
+
 def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
     """Evaluate both agreement conditions and the round-2R stability guarantee."""
     n = scenario.n
@@ -627,12 +686,7 @@ def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
         if R_found is not None:
             first_stable = 2 * R_found
             for r in range(first_stable, logical_rounds + 1):
-                guard = _logical_guard(scenario, r)
-                covered = [
-                    p
-                    for p in range(1, n + 1)
-                    if all(p not in trace.controlled_in(rho) for rho in guard)
-                ]
+                covered = _covered(trace, scenario, r)
                 end_states = trace.rounds[r * T - 1].states_after
                 values = {end_states[p].decided for p in covered}
                 if len(values) > 1 or (covered and values == {None}):
@@ -670,10 +724,7 @@ def check_support_claim(trace: Trace, scenario: Scenario) -> list:
             break
         if any(R in trace.controlled_in(rho) for rho in _round_window(scenario, R)):
             continue
-        faulty = frozenset().union(
-            *(trace.controlled_in(rho) for rho in _logical_guard(scenario, r))
-        )
-        honest = [p for p in range(1, n + 1) if p not in faulty]
+        honest = _covered(trace, scenario, r)
         states = trace.rounds[r * T - 1].states_after
         summary = {(states[p].high, states[p].medium) for p in honest}
         pairs_equal = all(states[p].high == states[p].medium for p in honest)

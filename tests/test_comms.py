@@ -24,7 +24,7 @@ from mobyz import (
     two_round_plan,
     two_round_scheme,
 )
-from mobyz.comms import _decode, _honest_majority
+from mobyz.comms import SparseTransfers, _decode, _honest_majority
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 
@@ -226,30 +226,80 @@ def test_majority_fallback_is_canonical_smallest():
     assert _decode([MANY, ONE, ZERO, ZERO, ONE]) == (ZERO, True)
 
 
-PAYLOADS = [EMPTY, MANY, ZERO, ONE] + [PairMessage(h, m) for h in (MANY, ZERO, ONE)
-                                       for m in (EMPTY, ZERO, ONE)]
+PAIRS = [PairMessage(h, m) for h in (MANY, ZERO, ONE) for m in (EMPTY, ZERO, ONE)]
+PAYLOADS = [EMPTY, MANY, ZERO, ONE] + PAIRS
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_decode_shortcut_agrees_with_the_full_count(data):
-    """`SparseTransfers.decode` skips the count for an untouched sender's
-    transfer whose honest copies hold a strict majority; wherever it does,
-    counting every copy must give the sender's payload, with no fallback."""
-    honest = data.draw(st.sampled_from(PAYLOADS), label="honest")
+    """`SparseTransfers.decode` skips the count for a transfer whose honest
+    copies all carry one payload (an untouched sender's, or a touched
+    sender's that kept one payload through every round) and hold a strict
+    majority; wherever it does, counting every copy must give that payload,
+    with no fallback."""
+    rounds = data.draw(st.integers(1, 3), label="rounds")
+    if data.draw(st.booleans(), label="kept one payload"):
+        sent = [data.draw(st.sampled_from(PAYLOADS), label="honest")] * rounds
+    else:
+        sent = data.draw(st.lists(st.sampled_from(PAYLOADS), min_size=rounds,
+                                  max_size=rounds), label="payload per round")
     arrived = data.draw(st.integers(0, 13), label="arrived copies")
     copies = [(data.draw(st.integers(1, 3)), c) for c in range(arrived)]
+    inject = [data.draw(st.integers(1, rounds)) for _ in range(arrived)]
     # overrides may also sit on copies that never arrive (ids >= arrived)
     overridden = data.draw(st.sets(st.integers(0, arrived + 3)), label="overridden")
     overrides = {c: data.draw(st.sampled_from(PAYLOADS)) for c in sorted(overridden)}
-    applies = _honest_majority(copies, overrides)
+    kept = all(payload is sent[0] for payload in sent)
+    applies = kept and _honest_majority(copies, overrides)
     event(f"shortcut applies: {applies}")
-    values = [overrides.get(c, honest) for _arrival, c in copies]
+    values = [overrides.get(c, sent[inject[c] - 1]) for _arrival, c in copies]
     if applies:
-        assert _decode(values) == (honest, False)
+        assert _decode(values) == (sent[0], False)
     elif not copies:
         with pytest.raises(ValueError, match="empty copy list"):
             _decode(values)
+
+
+@pytest.mark.parametrize("scheme", [
+    two_round_scheme(complete_minus_matching(9, 4), 1),
+    # T = 3: copies of non-adjacent pairs are injected in rounds 1 and 2
+    flood_scheme(complete_minus_matching(8, 4), 1, 5),
+], ids=["two-round", "flood"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_decode_equals_counting_every_copy(scheme, data):
+    """One lifted logical round of random control, corruption and rewrites:
+    `SparseTransfers.decode` must give what counting every arrived copy of
+    every transfer gives, exceptions and fallbacks alike."""
+    g = scheme.network
+    payloads = {i: data.draw(st.sampled_from(PAIRS)) for i in g.vertices}
+    transfers = SparseTransfers(scheme, list(g.vertices), payloads.__getitem__)
+
+    def corrupt(_pid):
+        return data.draw(st.sampled_from(PAIRS))
+
+    for t in range(1, scheme.T + 1):
+        controlled = data.draw(st.sets(st.integers(1, g.n), max_size=2), label="controlled")
+        transfers.step(t, controlled, corrupt)
+        for pid in sorted(controlled):
+            if data.draw(st.booleans(), label="rewritten"):
+                payloads[pid] = data.draw(st.sampled_from(PAIRS))
+            transfers.receiver_controlled(pid, corrupt)
+    event(f"touched senders that kept their payload: "
+          f"{sum(s.count(s[0]) == len(s) for s in transfers.sent.values())}")
+
+    exceptions, fallbacks = {}, 0
+    for (i, j), copies in transfers.index.arrivals.items():
+        if not copies:
+            continue
+        values = [transfers.overrides[c] if c in transfers.overrides else transfers._honest(c)
+                  for _arrival, c in copies]
+        value, fell_back = _decode(values)
+        fallbacks += fell_back
+        if value is not payloads[i]:
+            exceptions[(i, j)] = value
+    assert transfers.decode() == (payloads, exceptions, fallbacks)
 
 
 def test_decode_shortcut_boundary():

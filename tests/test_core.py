@@ -183,8 +183,8 @@ def test_traces_do_not_depend_on_hash_seed_or_memory_layout():
     memory addresses; two interpreters with different hash seeds and heaps
     must still write the same traces."""
     root = Path(__file__).resolve().parent.parent
-    names = ["bare-13-random-full", "lifted-two-round-13-full",
-             "lifted-two-round-cmm-19-states"]
+    names = ["bare-13-random-full", "bare-49-random-states",
+             "lifted-two-round-13-full", "lifted-two-round-cmm-19-states"]
     outputs = []
     for hash_seed, junk in (("0", "1001"), ("4242", "30000")):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)

@@ -1,5 +1,6 @@
 """The honest rule over histograms against its list adapter and the oracle,
-and the bare engine's histogram path against the per-link `sent` table."""
+and the bare engine's histogram path, one update per receiver class, against
+the per-link `sent` table."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobyz
+import mobyz.sim
 from mobyz import (
     EMPTY,
     MANY,
@@ -29,7 +31,7 @@ from mobyz import (
     run,
 )
 from mobyz.adversary import CounterfactualBehavior
-from mobyz.protocol import histogram_update
+from mobyz.protocol import histogram_update, pivot_index
 
 from oracles import oracle_update
 
@@ -109,6 +111,75 @@ def test_bare_states_same_at_both_trace_levels(name, make, seed):
             received = [rt.sent[(i, p)] for i in range(1, 14)]
             expected = round_update(p, before.states_after[p], received, rt.round, params)
             assert rt.states_after[p] == expected
+
+
+PLANTED = (None, ZERO, ONE, MANY)
+
+
+class _PlantedDecisions(Strategy):
+    """Round 1: the controlled source tells processors 2-5 the value 1 and
+    the rest 0, and is left with a planted decision 0. Later rounds: one
+    liar sends (0, 0) to everyone, so every honest receiver of a round is in
+    one class, and is left with a planted decision. The liar is the round's
+    pivot in odd rounds and another processor in even ones. In round 2 no
+    high reaches n - 2u, so the honest receivers keep the decisions they
+    held (0 for the source, None for the rest), and the honest pivot's lower
+    threshold admits the 1s that the others' does not."""
+
+    def controlled(self, ctx):
+        r, n = ctx.round, ctx.scenario.n
+        if r == 1:
+            return frozenset({1})
+        if r % 2 and pivot_index(r) <= n:
+            return frozenset({pivot_index(r)})
+        return frozenset({n - r // 2 % (n - 1)})
+
+    def forge(self, ctx, pid):
+        if ctx.round == 1:
+            return {q: ONE if 2 <= q <= 5 else ZERO for q in ctx.slots(pid)}
+        return dict.fromkeys(ctx.slots(pid), PairMessage(ZERO, ZERO))
+
+    def rewrite(self, ctx, pid):
+        return ProcessorState(high=ZERO, medium=ZERO, decided=PLANTED[ctx.round % 4])
+
+
+@pytest.mark.parametrize("name,make,seed", [
+    ("planted", _PlantedDecisions, 0),
+    ("random", RandomizedControl, 0),
+    ("random", RandomizedControl, 1),
+    ("random", RandomizedControl, 2),
+])
+def test_class_updates_equal_per_receiver_updates(monkeypatch, name, make, seed):
+    """Receivers sharing an exception signature share one `histogram_update`
+    per (decided, is pivot); each honest state must still be what the list
+    rule gives for the pairs the full trace recorded."""
+    n = 13
+    calls: dict = {}
+
+    def counted(p, state, high_counts, medium_counts, pivot_high, r, params):
+        calls[r] = calls.get(r, 0) + 1
+        return histogram_update(p, state, high_counts, medium_counts, pivot_high, r, params)
+
+    monkeypatch.setattr(mobyz.sim, "histogram_update", counted)
+    sc = Scenario(network=complete_network(n), m=1, source_value=ONE, strategy=make(),
+                  seed=seed, trace_level="full")
+    trace = run(sc)
+    shared = 0
+    for before, rt in zip(trace.rounds, trace.rounds[1:]):
+        honest = [p for p in range(1, n + 1) if p not in rt.controlled]
+        assert 1 <= calls[rt.round] <= len(honest)
+        shared += calls[rt.round] < len(honest)
+        for p in honest:
+            received = [rt.sent[(i, p)] for i in range(1, n + 1)]
+            expected = round_update(p, before.states_after[p], received, rt.round, sc.params)
+            assert rt.states_after[p] == expected
+    assert shared, "no round had receivers sharing an update"
+    if name == "planted":
+        # round 2 is one class holding two decisions and an honest pivot
+        after, liar = trace.rounds[1].states_after, trace.rounds[1].controlled
+        assert calls[2] == 3
+        assert {after[p].decided for p in range(1, n + 1) if p not in liar} == {None, ZERO}
+        assert after[2].emission() != after[3].emission()
 
 
 class _ForgedPivot(Strategy):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from mobyz import (
     Scenario,
     Strategy,
     StrategyViolation,
+    Trace,
     Value,
     check_agreement,
     check_support_claim,
@@ -23,7 +25,7 @@ from mobyz import (
     two_round_scheme,
 )
 from mobyz.protocol import ProtocolParams
-from mobyz.sim import _round_window
+from mobyz.sim import StepContext, _round_window, _value_choices
 
 ONE = Value.plain(1)
 ZERO = Value.plain(0)
@@ -67,6 +69,29 @@ def test_round_count_and_defaults():
     sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=NoFaults())
     assert sc.rounds == 14
     assert len(run(sc).rounds) == 14
+
+
+@pytest.mark.parametrize("alphabet", range(1, 9))
+@pytest.mark.parametrize("kind", ["value", "pair"])
+def test_random_draws_are_the_draws_of_rng_choice(alphabet, kind):
+    """The table draws consume the seed's stream exactly as `rng.choice`
+    does; tables of 3..10 entries cover k = 2, 3 and 4 bits and the exact
+    power of two (8 entries, alphabet 6)."""
+    sc = Scenario(network=complete_network(7), m=1, source_value=ZERO,
+                  strategy=NoFaults(), alphabet_size=alphabet)
+    choices = _value_choices(alphabet)
+    for seed in (0, 1, 7, 2024):
+        ctx = StepContext(sc, 2, {}, Trace(n=7), random.Random(seed), kind, {})
+        reference = random.Random(seed)
+        for _ in range(300):
+            got = ctx.random_payload()
+            if kind == "value":
+                assert got is reference.choice(choices)
+            else:
+                high = reference.choice(choices)
+                assert got is PairMessage(high, reference.choice(choices))
+            assert ctx.random_value() is reference.choice(choices)
+        assert ctx.rng.getstate() == reference.getstate()
 
 
 def test_fault_free_run_decides_from_round_two():

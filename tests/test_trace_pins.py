@@ -31,12 +31,13 @@ from mobyz.protocol import ProtocolParams
 ZERO, ONE = Value.plain(0), Value.plain(1)
 
 
-def _bare_random(n, m, seed, level):
+def _bare_random(n, m, seed, level, alphabet=2):
     return Scenario(
         network=complete_network(n),
         m=m,
-        source_value=ONE,
+        source_value=ONE if alphabet > 1 else ZERO,
         strategy=RandomizedControl(),
+        alphabet_size=alphabet,
         seed=seed,
         trace_level=level,
     )
@@ -71,14 +72,15 @@ def _lifted_two_round():
     )
 
 
-def _lifted_states(g, m, scheme, seed):
+def _lifted_states(g, m, scheme, seed, alphabet=2):
     return Scenario(
         network=g,
         m=m,
         source_value=ONE,
         strategy=RandomizedControl(),
         mode="lifted",
-        lifted=lift(scheme, ProtocolParams(n=g.n, m=m)),
+        lifted=lift(scheme, ProtocolParams(n=g.n, m=m, alphabet_size=alphabet)),
+        alphabet_size=alphabet,
         seed=seed,
         trace_level="states",
     )
@@ -126,6 +128,13 @@ SCENARIOS = {
     "bare-13-random-full": lambda: _bare_random(13, 2, 11, "full"),
     "bare-25-random-states": lambda: _bare_random(25, 4, 5, "states"),
     "bare-25-random-full": lambda: _bare_random(25, 4, 5, "full"),
+    # receiver classes collide: one liar among 48 honest receivers
+    "bare-49-random-states": lambda: _bare_random(49, 1, 1, "states"),
+    # random tables of 3, 5 and 8 entries (one, three and four random bits;
+    # 8 is the exact power of two)
+    "bare-13-alphabet-1-random-states": lambda: _bare_random(13, 2, 4, "states", 1),
+    "bare-13-alphabet-3-random-states": lambda: _bare_random(13, 2, 4, "states", 3),
+    "bare-13-alphabet-6-random-states": lambda: _bare_random(13, 2, 4, "states", 6),
     "bare-13-counterfactual-states": lambda: _bare_counterfactual("states"),
     "bare-13-counterfactual-full": lambda: _bare_counterfactual("full"),
     "lifted-two-round-13-full": _lifted_two_round,
@@ -135,6 +144,9 @@ SCENARIOS = {
         make_two_clique_network(5, 9), 1, flood_scheme(make_two_clique_network(5, 9), 1, 9), 3),
     "lifted-two-round-cmm-13-states": lambda: _lifted_two_round_states(
         complete_minus_matching(13, 6), 1, 7),
+    "lifted-two-round-cmm-13-alphabet-3-states": lambda: _lifted_states(
+        complete_minus_matching(13, 6), 1, two_round_scheme(complete_minus_matching(13, 6), 1),
+        7, 3),
     "lifted-two-round-cmm-19-states": lambda: _lifted_two_round_states(
         complete_minus_matching(19, 9), 1, 2),
     "lifted-two-round-complete-13-m2-states": lambda: _lifted_two_round_states(
@@ -189,6 +201,13 @@ PINS = {
     # generated on the engine before full-trace lifted runs left TransferRun
     "lifted-flood-two-clique-5-9-full": "38b9cd939441ca074acd74f6b1c1141c7d1cb58b576e4a458f033031751363a1",
     "lifted-two-round-complete-13-m2-full": "64d291584a260a7b24cc9caaf7a78fc75a26f2efdd4b0d8cf7e959de6c6053cc",
+    # generated on the engine before honest receivers were updated by class
+    # and random values were drawn from bit-indexed tables
+    "bare-49-random-states": "a83b329f072991059d193900ea627cd21944a6eec9aa1751b7610e6a1b47f9b6",
+    "bare-13-alphabet-1-random-states": "2de721228fa12201781d58a0896c396ddce84770bd34891eef2604c89b317db7",
+    "bare-13-alphabet-3-random-states": "49dc76e5dab119c98f091e9de8d8c70b9655c58a06eb1778ca8faa303f917e87",
+    "bare-13-alphabet-6-random-states": "48c56bd10fc250671f3dcf67bf14d44d07791dff3f3a669c1f30f4d6115e3491",
+    "lifted-two-round-cmm-13-alphabet-3-states": "77af0695d9fd4c21a597c1caea813b5aff9e746156aea8984c319742a6182cde",
 }
 
 
