@@ -223,10 +223,11 @@ def cmd_run(args) -> int:
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     if kind == "pair":
-        same, where = sim.check_indistinguishable(obj)
+        trace_a, trace_b = sim.run(obj.scenario_a), sim.run(obj.scenario_b)
+        same, where = sim._compare_views(obj, trace_a, trace_b)
         if outdir:
-            (outdir / "trace_a.jsonl").write_text(sim.run(obj.scenario_a).to_text())
-            (outdir / "trace_b.jsonl").write_text(sim.run(obj.scenario_b).to_text())
+            (outdir / "trace_a.jsonl").write_text(trace_a.to_text())
+            (outdir / "trace_b.jsonl").write_text(trace_b.to_text())
         if same:
             print(f"indistinguishable: observers {sorted(obj.observers)} see identical views")
             return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .graphs import Network, common_neighbors, disjoint_paths
@@ -271,7 +272,8 @@ class CopyIndex:
     sender u that move in round t, in copy order. `arrivals[(u, v)]` lists
     (arrival round, copy) for the copies that reach v by round T, in arrival
     order; `silent` lists the transfers between distinct processors none of
-    whose copies do.
+    whose copies do. Full traces also read `names` and `held`, built on
+    their first use.
     """
 
     touches: dict
@@ -281,6 +283,28 @@ class CopyIndex:
     route: tuple  # copy -> route id in its transfer's plan
     arrivals: dict
     silent: tuple
+
+    @cached_property
+    def names(self) -> tuple:
+        """copy -> its transfer's name, "i->j", as full traces show it."""
+        named = {key: "%d->%d" % key for key in self.arrivals}
+        return tuple(named[key] for key in self.transfer)
+
+    @cached_property
+    def held(self) -> dict:
+        """v -> (sender, arrival round, copy) for the copies that reach v by
+        round T, in the order of v's buffer records: by transfer name, then
+        route, then arrival. A copy is the only one of its transfer with its
+        route and arrival, so the order never depends on its value."""
+        names, route = self.names, self.route
+        entries: dict = {}
+        for (u, v), arrived in self.arrivals.items():
+            for arrival, c in arrived:
+                entries.setdefault(v, []).append((names[c], route[c], arrival, u, c))
+        return {
+            v: tuple((u, arrival, c) for _name, _route, arrival, u, c in sorted(listed))
+            for v, listed in entries.items()
+        }
 
 
 def _build_copy_index(scheme: CommScheme) -> CopyIndex:
@@ -336,9 +360,11 @@ class SparseTransfers:
     than half of its arrived copies have an override, the honest ones hold
     a strict majority, so it decodes to that payload without listing its
     copies. Only the other transfers, of senders whose payload changed or
-    with more overrides, are decoded. Full traces also read `hops` and `buffers()`, rendered from the
-    index on demand: a copy's value is its override if it has one, else its
-    honest payload, and it is tainted exactly when it has an override.
+    with more overrides, are decoded. Full traces also read `hops` and
+    `buffers()`, rendered on demand from the index (its `names` and `held`,
+    which only they build): a copy's value is its override if it has one,
+    else its honest payload, and it is tainted exactly when it has an
+    override.
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
@@ -428,35 +454,44 @@ class SparseTransfers:
         """(holder, next hop) -> the copies it moved in round t, as full
         traces show them: the value after the holder's corruption and
         before the receiver's."""
-        transfer, route = self.index.transfer, self.index.route
-        overrides, received = self.overrides, self.received
+        names, route, moves = self.index.names, self.index.route, self.index.moves
+        overrides, received, sent = self.overrides, self.received, self.sent
         hops: dict = {}
         for i in self.senders:
-            for link, c in self.index.moves.get((self.t, i), ()):
+            honest = self.initial[i]
+            for link, c in moves.get((self.t, i), ()):
                 value = received[c] if c in received else overrides.get(c)
-                hops.setdefault(link, []).append({
-                    "transfer": "%d->%d" % transfer[c],
-                    "route": route[c],
-                    "value": self._honest(c) if value is None else value,
-                })
+                if value is None:
+                    value = honest if i not in sent else self._honest(c)
+                hops.setdefault(link, []).append(
+                    {"transfer": names[c], "route": route[c], "value": value}
+                )
         return hops
 
     def buffers(self) -> dict:
-        """Each processor's collected copies as trace records, sorted."""
-        arrivals, route, overrides = self.index.arrivals, self.index.route, self.overrides
+        """Each processor's collected copies as trace records, in record
+        order: (transfer name, route, arrival, value, tainted)."""
+        names, route, overrides, t = self.index.names, self.index.route, self.overrides, self.t
+        sent, initial = self.sent, self.initial
+        every_sender, senders = self.every_sender, self.senders
+        text: dict = {}  # payload -> its str
         held: dict = {}
-        for i in self.senders:
-            for j in self.vertices:
-                for arrival, c in arrivals[(i, j)]:
-                    if arrival > self.t:
-                        break
-                    value = overrides.get(c)
-                    tainted = value is not None
-                    held.setdefault(j, []).append((
-                        f"{i}->{j}", route[c], arrival,
-                        str(value if tainted else self._honest(c)), tainted,
-                    ))
-        return {p: tuple(sorted(copies)) for p, copies in held.items()}
+        for j, copies in self.index.held.items():
+            records = []
+            for i, arrival, c in copies:
+                if arrival > t or not (every_sender or i in senders):
+                    continue
+                value = overrides.get(c)
+                tainted = value is not None
+                if not tainted:
+                    value = initial[i] if i not in sent else self._honest(c)
+                shown = text.get(value)
+                if shown is None:
+                    shown = text[value] = str(value)
+                records.append((names[c], route[c], arrival, shown, tainted))
+            if records:
+                held[j] = tuple(records)
+        return held
 
 
 # --- the reduction to the complete-network protocol -----------------------------

@@ -15,7 +15,6 @@ output may depend on it: every record sorts, and ties break by `sort_key`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -145,19 +144,6 @@ class ProcessorState:
         return rec
 
 
-def payload_record(payload) -> object:
-    """JSON-ready form of any message payload appearing in a trace."""
-    if isinstance(payload, Value):
-        return str(payload)
-    if isinstance(payload, PairMessage):
-        return [str(payload.high), str(payload.medium)]
-    if isinstance(payload, (list, tuple)):
-        return [payload_record(p) for p in payload]
-    if isinstance(payload, dict):
-        return {k: payload_record(v) for k, v in payload.items()}
-    return payload
-
-
 @dataclass
 class RoundTrace:
     """Everything that happened in one (physical) round."""
@@ -167,18 +153,91 @@ class RoundTrace:
     sent: dict  # (sender, receiver) -> payload, or list of hop payloads
     states_after: dict  # pid -> ProcessorState
 
-    def to_record(self) -> dict:
-        return {
-            "round": self.round,
-            "controlled": sorted(self.controlled),
-            "sent": {
-                f"{i}->{j}": payload_record(p) for (i, j), p in self.sent.items()
-            },
-            "states": {str(p): s.to_record() for p, s in self.states_after.items()},
-        }
 
-    def to_line(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
+_LINK, _PID = '"%d->%d":', '"%d":'  # the key fragments of `sent` and of states
+
+
+class _Writer:
+    """The JSON writer of trace and view lines. A line has the bytes of
+    `json.dumps(record, sort_keys=True, separators=(",", ":"))` of its
+    record (README, "File formats"), but is emitted directly; the strings
+    it holds are value tokens and `i->j` names, which JSON does not escape.
+    Fragments repeat within one call, so one writer per call memoises them:
+    each interned payload's, each state's part but its buffers, and for
+    each key sequence its `"i->j":` or `"p":` key fragments, sorted as
+    strings ("10->2" before "2->3")."""
+
+    def __init__(self):
+        self.payloads: dict = {}  # Value or PairMessage -> its fragment
+        self.states: dict = {}  # a state's fields but buffers -> its fragment's tail
+        self.orders: dict = {}  # key sequence -> [(key fragment, key)], sorted
+
+    def _sorted(self, mapping: dict, form: str) -> list:
+        """(key fragment, key) for mapping's keys, pids or (i, j) links (no
+        sequence of one equals a sequence of the other), in fragment order."""
+        keys = tuple(mapping)
+        order = self.orders.get(keys)
+        if order is None:
+            order = self.orders[keys] = sorted((form % k, k) for k in keys)
+        return order
+
+    def payload(self, p) -> str:
+        """A `Value`, a `PairMessage`, or a list of lifted hop records (dicts
+        of a copy's "route", "transfer" and "value"); any other payload is a
+        `TypeError`."""
+        kind = type(p)
+        if kind is list:
+            payloads = self.payloads
+            return "[" + ",".join([
+                '{"route":%d,"transfer":"%s","value":%s}' % (
+                    h["route"], h["transfer"], payloads.get(h["value"]) or self.payload(h["value"])
+                )
+                for h in p
+            ]) + "]"
+        if kind is not Value and kind is not PairMessage:
+            raise TypeError(f"a trace cannot hold a payload of type {kind.__name__}")
+        fragment = self.payloads.get(p)
+        if fragment is None:
+            fragment = f'"{p}"' if kind is Value else f'["{p.high}","{p.medium}"]'
+            self.payloads[p] = fragment
+        return fragment
+
+    def state(self, s: ProcessorState) -> str:
+        """The JSON of `s.to_record()`."""
+        key = (s.high, s.medium, s.high_set, s.medium_set, s.decided)
+        tail = self.states.get(key)
+        if tail is None:
+            decided = "null" if s.decided is None else f'"{s.decided}"'
+            high_set = ",".join(sorted(f'"{v}"' for v in s.high_set))
+            medium_set = ",".join(sorted(f'"{v}"' for v in s.medium_set))
+            tail = self.states[key] = (
+                f'"decided":{decided},"high":"{s.high}","high_set":[{high_set}],'
+                f'"medium":"{s.medium}","medium_set":[{medium_set}]}}'
+            )
+        if not s.buffers:
+            return "{" + tail
+        return '{"buffers":[' + ",".join([
+            '["%s",%d,%d,"%s",%s]' % (name, route, arrival, value, "true" if tainted else "false")
+            for name, route, arrival, value, tainted in s.buffers
+        ]) + "]," + tail
+
+    def round_line(self, rt: RoundTrace) -> str:
+        sent, states = rt.sent, rt.states_after
+        return "".join([
+            '{"controlled":[', ",".join(map(str, sorted(rt.controlled))),
+            '],"round":', str(rt.round), ',"sent":{',
+            ",".join([k + self.payload(sent[key]) for k, key in self._sorted(sent, _LINK)]),
+            '},"states":{',
+            ",".join([k + self.state(states[p]) for k, p in self._sorted(states, _PID)]),
+            "}}\n",
+        ])
+
+    def view_line(self, rno: int, received: dict, state: ProcessorState) -> str:
+        return "".join([
+            '{"received":{',
+            ",".join([k + self.payload(received[p]) for k, p in self._sorted(received, _PID)]),
+            '},"round":', str(rno), ',"state":', self.state(state), "}",
+        ])
 
 
 @dataclass
@@ -197,7 +256,8 @@ class Trace:
         self.rounds.append(rt)
 
     def to_text(self) -> str:
-        return "".join(rt.to_line() + "\n" for rt in self.rounds)
+        writer = _Writer()
+        return "".join([writer.round_line(rt) for rt in self.rounds])
 
     def final_states(self) -> dict:
         return self.rounds[-1].states_after
@@ -224,16 +284,11 @@ class View:
     per_round: list  # (received: dict sender -> payload, own ProcessorState)
 
     def to_text(self) -> str:
-        lines = []
-        for rno, (received, state) in enumerate(self.per_round, start=1):
-            rec = {
-                "round": rno,
-                "received": {
-                    str(sender): payload_record(p) for sender, p in received.items()
-                },
-                "state": state.to_record(),
-            }
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        writer = _Writer()
+        lines = [
+            writer.view_line(rno, received, state)
+            for rno, (received, state) in enumerate(self.per_round, start=1)
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -241,8 +296,10 @@ def view_of(trace: Trace, p: int) -> View:
     """Extract processor p's view from a complete trace. Pure in the trace."""
     if not 1 <= p <= trace.n:
         raise ValueError(f"processor {p} out of range 1..{trace.n}")
+    links = [(i, (i, p)) for i in range(1, trace.n + 1)]  # every (sender, link into p)
     per_round = []
     for rt in trace.rounds:
-        received = {i: payload for (i, j), payload in rt.sent.items() if j == p}
+        sent = rt.sent
+        received = {i: sent[link] for i, link in links if link in sent}
         per_round.append((received, rt.states_after[p]))
     return View(owner=p, per_round=per_round)

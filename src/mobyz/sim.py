@@ -745,11 +745,14 @@ def check_indistinguishable(pair) -> tuple:
     Returns (True, None) when all views match byte for byte, else
     (False, (round, observer, field)) for the first divergence.
     """
+    return _compare_views(pair, run(pair.scenario_a), run(pair.scenario_b))
+
+
+def _compare_views(pair, trace_a: Trace, trace_b: Trace) -> tuple:
+    """`check_indistinguishable` on the pair's two traces, already run."""
     a, b = pair.scenario_a, pair.scenario_b
     if a.n != b.n or a.rounds != b.rounds or a.network.edges() != b.network.edges():
         raise ValueError("scenario pair mismatch: different n, graph, or rounds")
-    trace_a = run(a)
-    trace_b = run(b)
     for observer in sorted(pair.observers):
         va = view_of(trace_a, observer)
         vb = view_of(trace_b, observer)

@@ -1,10 +1,11 @@
 """Brute-force oracles, independent of the implementations under test: the
-per-round protocol rules, the flow-based graph queries and the lifted
-transfer back-end."""
+per-round protocol rules, the flow-based graph queries, the lifted
+transfer back-end and the trace writer."""
 
 import itertools
+import json
 
-from mobyz import EMPTY, MANY, Network
+from mobyz import EMPTY, MANY, Network, PairMessage, Value
 from mobyz.comms import CommScheme, TransferRun
 
 
@@ -141,3 +142,52 @@ class TransferRuns:
                     (f"{i}->{j}", route_id, arrival, str(value), tainted)
                 )
         return {p: tuple(sorted(copies)) for p, copies in held.items()}
+
+
+# --- reference trace writer: each line is a record of plain dicts and lists,
+# rendered by `json.dumps` with sorted keys. `core`'s writer emits the same
+# bytes directly ---------------------------------------------------------------
+
+
+def payload_record(payload) -> object:
+    """JSON-ready form of any message payload appearing in a trace."""
+    if isinstance(payload, Value):
+        return str(payload)
+    if isinstance(payload, PairMessage):
+        return [str(payload.high), str(payload.medium)]
+    if isinstance(payload, (list, tuple)):
+        return [payload_record(p) for p in payload]
+    if isinstance(payload, dict):
+        return {k: payload_record(v) for k, v in payload.items()}
+    return payload
+
+
+def round_record(rt) -> dict:
+    return {
+        "round": rt.round,
+        "controlled": sorted(rt.controlled),
+        "sent": {f"{i}->{j}": payload_record(p) for (i, j), p in rt.sent.items()},
+        "states": {str(p): s.to_record() for p, s in rt.states_after.items()},
+    }
+
+
+def _line(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def record_text(trace) -> str:
+    """What `Trace.to_text` must write."""
+    return "".join(_line(round_record(rt)) + "\n" for rt in trace.rounds)
+
+
+def view_record_text(view) -> str:
+    """What `View.to_text` must write."""
+    lines = []
+    for rno, (received, state) in enumerate(view.per_round, start=1):
+        rec = {
+            "round": rno,
+            "received": {str(sender): payload_record(p) for sender, p in received.items()},
+            "state": state.to_record(),
+        }
+        lines.append(_line(rec))
+    return "\n".join(lines) + "\n"

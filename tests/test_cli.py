@@ -6,6 +6,8 @@ import pytest
 
 from mobyz import cli, graphs, sim
 
+from test_trace_pins import PINS
+
 
 def invoke(capsys, *argv):
     code = cli.main(list(argv))
@@ -120,6 +122,24 @@ def test_run_cut_set_pair_file(tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "run", scenario)
     assert code == 0
     assert "indistinguishable" in stdout
+
+
+def test_run_pair_writes_both_traces_from_one_run_each(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_run = sim.run
+    monkeypatch.setattr(sim, "run", lambda scenario: calls.append(scenario) or real_run(scenario))
+    scenario = write(
+        tmp_path,
+        "pair.txt",
+        "network = two-clique 4 4\nm = 1\npair = cut-set\ncut = 9,10,11,12\nobserver = 5\n",
+    )
+    out = tmp_path / "out"
+    code, stdout, _ = invoke(capsys, "run", scenario, "-o", str(out))
+    assert code == 0 and "indistinguishable" in stdout
+    assert len(calls) == 2
+    for which in ("a", "b"):
+        written = (out / f"trace_{which}.jsonl").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == PINS[f"cut-set-two-clique-4-4-{which}"]
 
 
 def test_run_inline_edges(tmp_path, capsys):

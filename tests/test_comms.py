@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from mobyz import (
     MANY,
     PairMessage,
     ProtocolParams,
+    RandomizedControl,
+    Scenario,
     TransferRun,
     Value,
     complete_minus_matching,
@@ -21,6 +24,7 @@ from mobyz import (
     kappa_sufficiency_bounds,
     lift,
     make_two_clique_network,
+    run,
     two_round_plan,
     two_round_scheme,
 )
@@ -365,3 +369,18 @@ def test_kappa_bounds_low_ratio_regime():
     general, ratio_form = kappa_sufficiency_bounds(8, 1)  # A = 8
     assert ratio_form == Fraction(8, 2) + 2  # (A/2 + 2) * m = 6
     assert general == 10 - Fraction(24, 8) - Fraction(6, 8)
+
+
+def test_full_trace_index_parts_are_built_on_first_full_use():
+    g = complete_minus_matching(13, 6)
+    scheme = two_round_scheme(g, 1)
+    scenario = Scenario(
+        network=g, m=1, source_value=ONE, strategy=RandomizedControl(), mode="lifted",
+        lifted=lift(scheme, ProtocolParams(n=13, m=1)), trace_level="states",
+    )
+    run(scenario)
+    index = scheme.copy_index()
+    assert "names" not in vars(index) and "held" not in vars(index)
+    run(dataclasses.replace(scenario, trace_level="full"))
+    assert "names" in vars(index) and "held" in vars(index)
+    assert index.names[0] == "1->2"

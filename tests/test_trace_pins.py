@@ -1,12 +1,23 @@
-"""Behaviour pin: SHA-256 digests of `Trace.to_text()` for a fixed scenario set.
+"""Behaviour pin: SHA-256 digests of `Trace.to_text()` for a fixed scenario set,
+and of `View.to_text()` for three observers of some of them.
 
 Every trace is a pure function of its scenario, so an engine refactor or
 speedup that keeps behaviour must keep these digests. A change that alters
 the RNG draw order or any recorded field has to update them and say why.
+
+New pins are generated on the commit before the change they guard:
+
+    PYTHONPATH=src python tests/test_trace_pins.py [NAME ...]
+
+prints the trace digest of every `SCENARIOS` entry and the view digests of
+every `VIEW_PINS` entry, or the digests of only the named entries (view
+digests for those with at least 13 processors), as lines to paste into
+`PINS` and `VIEW_PINS`; it never rewrites either.
 """
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
@@ -24,6 +35,7 @@ from mobyz import (
     make_two_clique_network,
     run,
     two_round_scheme,
+    view_of,
 )
 from mobyz.adversary import CounterfactualBehavior
 from mobyz.protocol import ProtocolParams
@@ -86,8 +98,8 @@ def _lifted_states(g, m, scheme, seed, alphabet=2):
     )
 
 
-def _lifted_full(g, m, scheme, seed):
-    return dataclasses.replace(_lifted_states(g, m, scheme, seed), trace_level="full")
+def _lifted_full(g, m, scheme, seed, alphabet=2):
+    return dataclasses.replace(_lifted_states(g, m, scheme, seed, alphabet), trace_level="full")
 
 
 def _lifted_two_round_states(g, m, seed):
@@ -107,6 +119,11 @@ def _cut_set(which):
 def _relay_states(pair, which):
     scenario = pair.scenario_a if which == "a" else pair.scenario_b
     return dataclasses.replace(scenario, trace_level="states")
+
+
+def _relay_cut_set_12_8(which):
+    pair = cut_set_pair(make_two_clique_network(12, 8), 1, range(25, 33), observer=13, m=2)
+    return pair.scenario_a if which == "a" else pair.scenario_b
 
 
 def _relay_random():
@@ -135,6 +152,7 @@ SCENARIOS = {
     "bare-13-alphabet-1-random-states": lambda: _bare_random(13, 2, 4, "states", 1),
     "bare-13-alphabet-3-random-states": lambda: _bare_random(13, 2, 4, "states", 3),
     "bare-13-alphabet-6-random-states": lambda: _bare_random(13, 2, 4, "states", 6),
+    "bare-13-alphabet-6-random-full": lambda: _bare_random(13, 2, 4, "full", 6),
     "bare-13-counterfactual-states": lambda: _bare_counterfactual("states"),
     "bare-13-counterfactual-full": lambda: _bare_counterfactual("full"),
     "lifted-two-round-13-full": _lifted_two_round,
@@ -147,6 +165,9 @@ SCENARIOS = {
     "lifted-two-round-cmm-13-alphabet-3-states": lambda: _lifted_states(
         complete_minus_matching(13, 6), 1, two_round_scheme(complete_minus_matching(13, 6), 1),
         7, 3),
+    "lifted-two-round-cmm-13-alphabet-6-full": lambda: _lifted_full(
+        complete_minus_matching(13, 6), 1, two_round_scheme(complete_minus_matching(13, 6), 1),
+        7, 6),
     "lifted-two-round-cmm-19-states": lambda: _lifted_two_round_states(
         complete_minus_matching(19, 9), 1, 2),
     "lifted-two-round-complete-13-m2-states": lambda: _lifted_two_round_states(
@@ -167,6 +188,8 @@ SCENARIOS = {
         make_two_clique_network(12, 8), 1, range(25, 33), observer=13, m=2), "a"),
     "relay-cut-set-two-clique-12-8-b-states": lambda: _relay_states(cut_set_pair(
         make_two_clique_network(12, 8), 1, range(25, 33), observer=13, m=2), "b"),
+    "relay-cut-set-two-clique-12-8-a-full": lambda: _relay_cut_set_12_8("a"),
+    "relay-cut-set-two-clique-12-8-b-full": lambda: _relay_cut_set_12_8("b"),
     "relay-random-two-clique-4-4-states": _relay_random,
 }
 
@@ -208,17 +231,89 @@ PINS = {
     "bare-13-alphabet-3-random-states": "49dc76e5dab119c98f091e9de8d8c70b9655c58a06eb1778ca8faa303f917e87",
     "bare-13-alphabet-6-random-states": "48c56bd10fc250671f3dcf67bf14d44d07791dff3f3a669c1f30f4d6115e3491",
     "lifted-two-round-cmm-13-alphabet-3-states": "77af0695d9fd4c21a597c1caea813b5aff9e746156aea8984c319742a6182cde",
+    # generated on the engine before traces and views had one writer
+    "bare-13-alphabet-6-random-full": "4526a0853e4b1e4799be0a8901cc24da66a09a1b2d283537f5ef28c143303fb6",
+    "lifted-two-round-cmm-13-alphabet-6-full": "eb10d040e2b197fb64a582792e8fc6d2074297f8cc1d0005876caa66f7d73269",
+    "relay-cut-set-two-clique-12-8-a-full": "2ae33ffbf5c6be6a041456d0a3168ef49827ad9b790458c36dec3b35da5426de",
+    "relay-cut-set-two-clique-12-8-b-full": "d682c8c52f46ad850224c6c6f88e10d9a9ad610b743e1837867501fc0ae8cd38",
 }
 
 
+VIEW_OBSERVERS = (1, 10, 13)
+
+# SCENARIOS entry -> the view digests of VIEW_OBSERVERS, in order; generated
+# on the engine before traces and views had one writer
+VIEW_PINS = {
+    "bare-13-alphabet-6-random-full": (
+        "f89a7a80253eeae97a3e518d4b1300067661b10d3ff661198839ea7160fbf681",
+        "ed7ad41bc6571664ae730f23033e8152e19f70620aacf6c427f8b48ae65d1b5e",
+        "966b5312c1bd3279dd4df7bee5785a713d91843350279988417a6aae1e962aa2",
+    ),
+    "bare-13-random-full": (
+        "2155ce215a769d1e4924679c77d68c9076bf484035099113fa5758e9fa880e88",
+        "430365e812475b33d9e5e3a658fb02221156b1837e67efa9cb8dd37da9b9ff46",
+        "124774206015c3d365f1fdf48911cf9bcb2b331d3cea8e52101e791a46bfa6e4",
+    ),
+    "lifted-two-round-13-full": (
+        "ba2292e05411cdff535ef9cf131b7418610e353e18dbd02cf4dd9b3b4b8d93ff",
+        "f2a169e377564ba502d8184d51519d8203dc80087872496ac6f99e6083df8ba3",
+        "2b10ac3219499b7a7ad2c3dbd69b3e92e24790963e7d60156169bf63f72c4009",
+    ),
+    "lifted-two-round-cmm-13-alphabet-6-full": (
+        "54b3e7050229f23f21f1fee98527e708b02e000d507f682b9e43e7dc51b55ba5",
+        "1cda1f2e0ebf82fec96d135fc6fd5d5cd11959d1afa81ca14d8094cdb24e48e5",
+        "8012947973ca5c27643da25e47bbe9ce695d565beb12ed910a17fee2ad8b55e2",
+    ),
+    # observer 13 is the pair's observer: its two views are one text
+    "relay-cut-set-two-clique-12-8-a-full": (
+        "9f3b2d09cb0dfdee140eb4e11818e7d2fffa7c84ffb3f73d32867dce0dec4555",
+        "e10ae957ca5a0b8dee135402cdadcafa7f9ca977ff79cd20b20c588ef829c350",
+        "2c865593c7975b5d12b998202d96172bf296ba3758c18314a09e8d22e7cce5aa",
+    ),
+    "relay-cut-set-two-clique-12-8-b-full": (
+        "c240d106d79c835a72d7a953a3f30af17fcce482b6a2c3f5499d4ce45c5c916d",
+        "6e8ce03389a902adec98777b2d50c4d36892c83797a72a42f2021164d6ffa870",
+        "2c865593c7975b5d12b998202d96172bf296ba3758c18314a09e8d22e7cce5aa",
+    ),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def trace_digest(scenario) -> str:
-    return hashlib.sha256(run(scenario).to_text().encode()).hexdigest()
+    return _digest(run(scenario).to_text())
+
+
+def view_digests(scenario) -> tuple:
+    trace = run(scenario)
+    return tuple(_digest(view_of(trace, p).to_text()) for p in VIEW_OBSERVERS)
 
 
 def test_pin_set_is_complete():
     assert sorted(PINS) == sorted(SCENARIOS)
+    assert set(VIEW_PINS) <= set(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_trace_digest_pinned(name):
     assert trace_digest(SCENARIOS[name]()) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_PINS))
+def test_view_digests_pinned(name):
+    assert view_digests(SCENARIOS[name]()) == VIEW_PINS[name]
+
+
+def main(names) -> None:
+    for name in names or SCENARIOS:
+        print(f'    "{name}": "{trace_digest(SCENARIOS[name]())}",')
+    for name in names or VIEW_PINS:
+        scenario = SCENARIOS[name]()
+        if scenario.n >= max(VIEW_OBSERVERS):  # smaller networks lack the observers
+            print(f'    "{name}": {view_digests(scenario)!r},')
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
