@@ -20,20 +20,37 @@ class Strategy:
     """Baseline capability: whatever it controls behaves randomly.
 
     Hooks receive a StepContext (full trace so far, current states, the run's
-    seeded generator) — the adversary is omniscient.
+    seeded generator) — the adversary is omniscient. The lifted engine asks
+    `corrupt_values(ctx, pid, k)` for the k lies controlled pid writes to a
+    run of copies, in copy order; by default they are `ctx.random_payloads`,
+    the draws of k `corrupt_value` calls. A subclass that defines
+    `corrupt_value` but not `corrupt_values` is called once per copy, in the
+    same order.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "corrupt_value" in vars(cls) and "corrupt_values" not in vars(cls):
+            cls.corrupt_values = Strategy._corrupt_each
 
     def controlled(self, ctx):
         return frozenset()
 
     def forge(self, ctx, pid) -> dict:
-        return {q: ctx.random_payload() for q in ctx.slots(pid)}
+        slots = ctx.slots(pid)
+        return dict(zip(slots, ctx.random_payloads(len(slots))))
 
     def rewrite(self, ctx, pid) -> ProcessorState:
         return ctx.random_state()
 
     def corrupt_value(self, ctx, pid):
         return ctx.random_payload()
+
+    def corrupt_values(self, ctx, pid, k: int) -> list:
+        return ctx.random_payloads(k)
+
+    def _corrupt_each(self, ctx, pid, k: int) -> list:
+        return [self.corrupt_value(ctx, pid) for _ in range(k)]
 
 
 class NoFaults(Strategy):
@@ -67,6 +84,9 @@ class ScheduledControl(Strategy):
 
     def corrupt_value(self, ctx, pid):
         return self.inner.corrupt_value(ctx, pid)
+
+    def corrupt_values(self, ctx, pid, k):
+        return self.inner.corrupt_values(ctx, pid, k)
 
 
 def _counterfactual_states(ctx, source_value: Value) -> list:
@@ -262,6 +282,9 @@ class OverrideStrategy(Strategy):
 
     def corrupt_value(self, ctx, pid):
         return self.base.corrupt_value(ctx, pid)
+
+    def corrupt_values(self, ctx, pid, k):
+        return self.base.corrupt_values(ctx, pid, k)
 
 
 # --- scenario pairs -------------------------------------------------------------

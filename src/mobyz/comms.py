@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .graphs import Network, common_neighbors, disjoint_paths
@@ -146,22 +148,26 @@ def flood_scheme(g: Network, m: int, kappa: int) -> CommScheme:
 
 def _decode(copies: list):
     """(the strict-majority value among copies, whether there was none).
-    Without one it falls back to the canonically smallest most-frequent
-    value; that needs a broken endpoint window, so the engine counts it."""
+    A strict majority is unique, so the most frequent value is returned as
+    soon as its count is one. Without one it falls back to the canonically
+    smallest most-frequent value; that needs a broken endpoint window, so
+    the engine counts it."""
     if not copies:
         raise ValueError("cannot decode an empty copy list")
     counts = Counter(copies)
-    top = max(counts.values())
-    winner = min((x for x, c in counts.items() if c == top), key=lambda x: x.sort_key())
-    return winner, 2 * top <= len(copies)
+    winner = max(counts, key=counts.__getitem__)
+    top = counts[winner]
+    if 2 * top > len(copies):
+        return winner, False
+    return min((x for x, c in counts.items() if c == top), key=lambda x: x.sort_key()), True
 
 
-def _honest_majority(copies, overrides) -> bool:
-    """Whether the copies without an override hold a strict majority of
-    `copies`, (arrival round, copy) pairs. When every honest copy carries
-    one payload, `_decode` then gives that payload and does not fall back;
-    an empty list never qualifies, so `_decode` still rejects it."""
-    return 2 * sum(c in overrides for _arrival, c in copies) < len(copies)
+def _honest_majority(ids, overrides) -> bool:
+    """Whether the copies of `ids` without an override hold a strict
+    majority of them. When every honest copy carries one payload, `_decode`
+    then gives that payload and does not fall back; no ids never qualify,
+    so `_decode` still rejects an empty list."""
+    return 2 * sum(map(overrides.__contains__, ids)) < len(ids)
 
 
 # --- transfer execution --------------------------------------------------------
@@ -249,14 +255,16 @@ class TransferRun:
 #
 # `SparseTransfers` moves every sender's message to every receiver through
 # the T physical rounds of a logical round, at both trace levels; the
-# engine's loop and the order in which it calls `corrupt` are described in
-# the `sim` module docstring. `payload(i)` is what sender i injects when
-# asked. decode() returns each sender's payload at decode time, the
-# (sender, receiver) transfers that decode to anything else (never the self
-# transfer (i, i)), and how many decodes fell back. Values are interned, so
-# "anything else" is an identity test. The tests keep a reference with the
-# same interface, one marching `TransferRun` per ordered pair, and put it in
-# the engine's place to compare full traces byte for byte.
+# engine's loop and the order in which it draws lies are described in the
+# `sim` module docstring. `payload(i)` is what sender i injects when asked,
+# and `corrupt(v, k)` gives the k payloads controlled v writes to its next
+# k copies, in copy order. decode() returns each sender's payload at decode
+# time, the (sender, receiver) transfers that decode to anything else (never
+# the self transfer (i, i)), and how many decodes fell back. Values are
+# interned, so "anything else" is an identity test. The tests keep a
+# reference with the same interface, one marching `TransferRun` per ordered
+# pair that asks for one lie at a time, and put it in the engine's place to
+# compare full traces byte for byte.
 
 
 @dataclass(frozen=True)
@@ -271,17 +279,20 @@ class CopyIndex:
     them. `moves[(t, u)]` lists ((holder, next hop), copy) for the copies of
     sender u that move in round t, in copy order. `arrivals[(u, v)]` lists
     (arrival round, copy) for the copies that reach v by round T, in arrival
-    order; `silent` lists the transfers between distinct processors none of
-    whose copies do. Full traces also read `names` and `held`, built on
-    their first use.
+    order, and `ids[(u, v)]` just their copies; `silent` lists the transfers
+    between distinct processors none of whose copies do. `visits[(t, v)]`
+    is `_visit` of `touches[(t, v)]`. Full traces also read `names` and
+    `held`, built on their first use.
     """
 
     touches: dict
+    visits: dict
     moves: dict
     transfer: tuple  # copy -> (sender, receiver)
     inject: tuple  # copy -> injection round
     route: tuple  # copy -> route id in its transfer's plan
     arrivals: dict
+    ids: dict
     silent: tuple
 
     @cached_property
@@ -336,15 +347,29 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
                     if receiver == v:
                         arrived.append((t, c))
             arrivals[(u, v)] = tuple(sorted(arrived))
+    transfer = tuple(transfer)
     return CopyIndex(
         touches={key: tuple(events) for key, events in touches.items()},
+        visits={key: _visit(events, transfer) for key, events in touches.items()},
         moves={key: tuple(moved) for key, moved in moves.items()},
-        transfer=tuple(transfer),
+        transfer=transfer,
         inject=tuple(inject),
         route=tuple(route_ids),
         arrivals=arrivals,
+        ids={key: tuple(c for _arrival, c in got) for key, got in arrivals.items()},
         silent=tuple(key for key, got in arrivals.items() if key[0] != key[1] and not got),
     )
+
+
+def _visit(events, transfer) -> tuple:
+    """(copies, received, transfers) of a run of one processor's touch
+    events: their copies in event order, the ones it receives, and the set
+    of their transfers. A run holds each copy at most once, as a copy makes
+    one hop per round, between two distinct processors."""
+    events = tuple(events)
+    copies = tuple(c for _order, c, _v in events)
+    received = tuple(c for order, c, _v in events if order & 1)
+    return copies, received, frozenset(map(transfer.__getitem__, copies))
 
 
 class SparseTransfers:
@@ -380,9 +405,13 @@ class SparseTransfers:
         self.dirty: set = set()  # transfers with an override
         self.received: dict = {}  # copy -> its override (or None) before round t's receipt
 
-    def _override(self, c: int, value) -> None:
-        self.overrides[c] = value
-        self.dirty.add(self.index.transfer[c])
+    def _corrupt(self, v: int, copies, received, transfers, corrupt) -> None:
+        """Override `copies`, a run of v's events or its stored copies, with
+        one batch of lies; `received` of them are v's receipts this round."""
+        overrides = self.overrides
+        self.received.update(zip(received, map(overrides.get, received)))
+        overrides.update(zip(copies, corrupt(v, len(copies))))
+        self.dirty.update(transfers)
 
     def _honest(self, c: int):
         """The payload copy c's sender injected into it."""
@@ -391,6 +420,9 @@ class SparseTransfers:
         return self.initial[i] if sent is None else sent[self.index.inject[c] - 1]
 
     def step(self, t: int, controlled, corrupt) -> None:
+        """Round t: one batch of lies per run of consecutive events (in
+        copy order, a copy's holder before its receiver) of one controlled
+        processor; with one controlled processor, one batch."""
         self.t = t
         for pid in controlled:
             if pid in self.senders:
@@ -398,31 +430,34 @@ class SparseTransfers:
         for i, sent in self.sent.items():
             payload = self.payload(i)
             sent.extend([payload] * (t - len(sent)))
-        touches = self.index.touches
-        if len(controlled) == 1:
-            events = touches.get((t, next(iter(controlled))), ())
-        else:
-            events = sorted(e for v in controlled for e in touches.get((t, v), ()))
-        transfer, overrides = self.index.transfer, self.overrides
-        self.received = received = {}
-        for order, c, v in events:
-            if self.every_sender or transfer[c][0] in self.senders:
-                if order & 1:  # the hop's value is what v receives
-                    received[c] = overrides.get(c)
-                self._override(c, corrupt(v))
+        self.received = {}
+        index = self.index
+        if len(controlled) == 1 and self.every_sender:
+            v = next(iter(controlled))
+            visit = index.visits.get((t, v))
+            if visit is not None:
+                self._corrupt(v, *visit, corrupt)
+            return
+        touches, transfer, senders = index.touches, index.transfer, self.senders
+        events = sorted(e for v in controlled for e in touches.get((t, v), ()))
+        if not self.every_sender:
+            events = [e for e in events if transfer[e[1]][0] in senders]
+        for v, run in groupby(events, itemgetter(2)):
+            self._corrupt(v, *_visit(run, transfer), corrupt)
 
     def receiver_controlled(self, pid: int, corrupt) -> None:
-        arrivals = self.index.arrivals
-        for i in self.senders:
-            for arrival, c in arrivals[(i, pid)]:
-                if arrival > self.t:
-                    break
-                self._override(c, corrupt(pid))
+        """Controlled pid's stored copies, by sender and then arrival: one
+        batch."""
+        arrivals, t = self.index.arrivals, self.t
+        copies = [c for i in self.senders for arrival, c in arrivals[(i, pid)] if arrival <= t]
+        if copies:
+            transfers = map(self.index.transfer.__getitem__, copies)
+            self._corrupt(pid, copies, (), transfers, corrupt)
 
     def decode(self):
         """(payload per sender, decoded payload per transfer that decodes to
         anything else, decodes that fell back)."""
-        arrivals, inject, overrides = self.index.arrivals, self.index.inject, self.overrides
+        ids, inject, overrides = self.index.ids, self.index.inject, self.overrides
         payloads = {i: self.payload(i) for i in self.senders}
         pending = set(self.dirty)
         for i in self.sent:
@@ -432,7 +467,7 @@ class SparseTransfers:
         exceptions, fallbacks = {}, 0
         for key in pending:  # decodes are pure, so their order is immaterial
             now, sent = payloads[key[0]], self.sent.get(key[0])
-            copies = arrivals[key]
+            copies = ids[key]
             single = now if sent is None else kept.get(key[0])
             if single is not None and _honest_majority(copies, overrides):
                 if single is not now:
@@ -441,7 +476,7 @@ class SparseTransfers:
             values = [
                 overrides[c] if c in overrides
                 else now if sent is None else sent[inject[c] - 1]
-                for _arrival, c in copies
+                for c in copies
             ]
             value, fell_back = _decode(values)
             fallbacks += fell_back

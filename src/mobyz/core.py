@@ -129,7 +129,20 @@ class ProcessorState:
     buffers: tuple = ()
 
     def emission(self) -> PairMessage:
-        return PairMessage(self.high, self.medium)
+        """The pair it broadcasts, cached on the instance on first use. The
+        cache is no field, and pickling and copying leave it out, so `==`,
+        hashing, records, pickles, copies and `replace` never see it."""
+        try:
+            return self._pair
+        except AttributeError:
+            pair = PairMessage(self.high, self.medium)
+            object.__setattr__(self, "_pair", pair)
+            return pair
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_pair", None)
+        return state
 
     def to_record(self) -> dict:
         rec = {

@@ -38,17 +38,24 @@ The strategy's hooks are called in one order, the same at both trace levels,
 so the two levels of one scenario draw the same lies. In a physical round:
   1. `controlled`;
   2. in `step`: direct delivery calls `forge` for each controlled sender in
-     increasing pid order; the lifted back-end calls `corrupt_value` for
-     transfers in sorted (sender, receiver) order, each one's copies by
-     (injection round, route), the holder of a hop before its receiver, and
-     then for the source's stored round-1 value when the source is controlled;
+     increasing pid order; the lifted back-end lies for each copy a
+     controlled processor holds or receives, in copy order: transfers in
+     sorted (sender, receiver) order, each one's copies by (injection round,
+     route), the holder of a hop before its receiver. One `corrupt_values`
+     call covers a run of consecutive copies of one controlled processor, so
+     with one processor controlled, the whole step. Then, when the source is
+     controlled, one call of one lie for its stored round-1 value;
   3. for each controlled pid in increasing order, `rewrite`, then (lifted)
-     `corrupt_value` for each of its stored copies in arrival order.
-Honest rules draw nothing. An honest copy carries its sender's payload at
-step time, before that round's rewrites. Every lie is drawn from the run's
-one `random.Random(seed)`; `StepContext` draws a random value with the
-`getrandbits` calls `rng.choice` would make, so the stream, and with it every
-trace, is the one `choice` gives.
+     one `corrupt_values` call for all its stored copies, by sender and then
+     arrival round.
+A batch is the lies of one `corrupt_value` call per copy, in this order: a
+strategy that defines only `corrupt_value` is called so, and the default
+draws them at once (`adversary.Strategy`). Honest rules draw nothing. An
+honest copy carries its sender's payload at step time, before that round's
+rewrites. Every lie is drawn from the run's one `random.Random(seed)`;
+`StepContext` draws a random value with the `getrandbits` calls
+`rng.choice` would make, and a batch of k payloads as k such draws in one
+loop, so the stream, and with it every trace, is the one `choice` gives.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 from .comms import LiftedProtocol, SparseTransfers
@@ -82,8 +90,9 @@ from .protocol import (
 class StrategyViolation(Exception):
     """The adversary broke its capability contract: more than m controlled,
     an unknown or non-int processor id, an unfilled or mistyped forged slot, a
-    corrupted copy of the wrong kind (a Value in round 1, a PairMessage
-    later), or a planted state that is not a ProcessorState."""
+    batch of corrupted copies of the wrong length, a corrupted copy of the
+    wrong kind (a Value in round 1, a PairMessage later), or a planted state
+    that is not a ProcessorState."""
 
 
 # --- relay mode: sticky value diffusion ------------------------------------
@@ -244,17 +253,30 @@ class StepContext:
         return values[i]
 
     def random_payload(self):
-        if self.payload_kind == "value":
-            return self.random_value()
-        k, size, _values, pairs = _draw_tables(self.scenario.alphabet_size)
+        return self.random_payloads(1)[0]
+
+    def random_payloads(self, count: int) -> list:
+        """`count` random payloads of the round's kind, drawn in one loop:
+        the draws, and the objects, of `count` `random_payload` calls."""
+        k, size, values, pairs = _draw_tables(self.scenario.alphabet_size)
         bits = self.rng.getrandbits
-        high = bits(k)
-        while high >= size:
+        out = []
+        if self.payload_kind == "value":
+            for _ in range(count):
+                i = bits(k)
+                while i >= size:
+                    i = bits(k)
+                out.append(values[i])
+            return out
+        for _ in range(count):
             high = bits(k)
-        medium = bits(k)
-        while medium >= size:
+            while high >= size:
+                high = bits(k)
             medium = bits(k)
-        return pairs[high][medium]
+            while medium >= size:
+                medium = bits(k)
+            out.append(pairs[high][medium])
+        return out
 
     def random_state(self) -> ProcessorState:
         pool = [Value.plain(i) for i in range(self.scenario.alphabet_size)] + [MANY]
@@ -301,16 +323,25 @@ def _forged(strategy, ctx, pid) -> dict:
     return payloads
 
 
-def _corrupted(strategy, ctx, pid):
-    value = strategy.corrupt_value(ctx, pid)
+def _corrupted(strategy, ctx, pid, k) -> list:
+    """The strategy's `corrupt_values` batch of k lies for copies of pid,
+    checked: a list (or tuple) of k payloads of the round's kind."""
+    values = strategy.corrupt_values(ctx, pid, k)
+    if not isinstance(values, (list, tuple)) or len(values) != k:
+        got = f"{len(values)} payloads" if isinstance(values, (list, tuple)) else repr(values)
+        raise StrategyViolation(
+            f"round {ctx.round}: corrupt_values for {pid} returned {got}, "
+            f"not a list of {k}"
+        )
     expected = Value if ctx.payload_kind == "value" else PairMessage
-    if not isinstance(value, expected):
+    if not all(map(isinstance, values, repeat(expected, k))):
+        value = next(v for v in values if not isinstance(v, expected))
         payload = isinstance(value, (Value, PairMessage))
         raise StrategyViolation(
             f"round {ctx.round}: corrupt_value for {pid} returned {value!r}, "
             f"not a {expected.__name__ if payload else 'Value or PairMessage'}"
         )
-    return value
+    return values
 
 
 def _rewritten(strategy, ctx, pid) -> ProcessorState:
@@ -415,7 +446,7 @@ class _LiftedDelivery:
         corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)
         self.transfers.step(t, controlled, corrupt)
         if self.r == 1 and SOURCE in controlled:
-            self.source_copy = corrupt(SOURCE)
+            (self.source_copy,) = corrupt(SOURCE, 1)
 
     def receiver_controlled(self, pid: int, ctx) -> None:
         corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)

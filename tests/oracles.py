@@ -92,8 +92,9 @@ def oracle_update(self_id, prev_decided, received, r, n, m):
 
 class TransferRuns:
     """The reference back-end: one TransferRun per ordered pair, every copy
-    marched hop by hop. It also records what full traces show — each round's
-    hops and every processor's collected copies."""
+    marched hop by hop and corrupted on its own, a batch of one lie. It also
+    records what full traces show — each round's hops and every processor's
+    collected copies."""
 
     def __init__(self, scheme: CommScheme, senders, payload):
         vertices = scheme.network.vertices
@@ -114,11 +115,11 @@ class TransferRuns:
     def step(self, t: int, controlled, corrupt) -> None:
         self.hops = {}
         for run in self.runs.values():  # inserted in sorted (sender, receiver) order
-            run.step(t, controlled, corrupt, self._record_hop)
+            run.step(t, controlled, _one_by_one(corrupt), self._record_hop)
 
     def receiver_controlled(self, pid: int, corrupt) -> None:
         for i in self.senders:
-            self.runs[(i, pid)].receiver_controlled(corrupt)
+            self.runs[(i, pid)].receiver_controlled(_one_by_one(corrupt))
 
     def decode(self):
         """(payload per sender, decoded payload per transfer that decodes to
@@ -142,6 +143,12 @@ class TransferRuns:
                     (f"{i}->{j}", route_id, arrival, str(value), tainted)
                 )
         return {p: tuple(sorted(copies)) for p, copies in held.items()}
+
+
+def _one_by_one(corrupt):
+    """`TransferRun`'s corruption oracle, pid -> one lie, from the engine's
+    batched one, (pid, k) -> k lies."""
+    return lambda pid: corrupt(pid, 1)[0]
 
 
 # --- reference trace writer: each line is a record of plain dicts and lists,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mobyz import (
@@ -9,7 +11,10 @@ from mobyz import (
     PairMessage,
     RandomizedControl,
     Scenario,
+    ScheduledControl,
     StaticControl,
+    Strategy,
+    Trace,
     Value,
     check_agreement,
     check_indistinguishable,
@@ -19,6 +24,7 @@ from mobyz import (
     make_two_clique_network,
     run,
 )
+from mobyz.sim import StepContext
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 
@@ -292,3 +298,41 @@ def test_reused_strategy_replays_the_current_world(reshape, strategy):
     reused = make()
     run(scenario(first, reused))
     assert run(scenario(second, reused)).to_text() == run(scenario(second, make())).to_text()
+
+
+class _OwnLies(Strategy):
+    """Defines `corrupt_value` and no batch: one logged call per copy."""
+
+    def __init__(self):
+        self.calls = []
+
+    def corrupt_value(self, ctx, pid):
+        self.calls.append(pid)
+        return Value.plain(len(self.calls) % 2)
+
+
+class _ScheduledOwnLies(ScheduledControl):
+    def corrupt_value(self, ctx, pid):
+        return ONE
+
+
+def test_corrupt_values_calls_an_own_corrupt_value_once_per_copy():
+    sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=NoFaults())
+
+    def ctx(seed=3):
+        return StepContext(sc, 1, {}, Trace(n=7), random.Random(seed), "value", {})
+
+    own = _OwnLies()
+    assert own.corrupt_values(ctx(), 4, 3) == [ONE, ZERO, ONE] and own.calls == [4, 4, 4]
+    # a wrapper passes the batch on, so the inner strategy's rule decides
+    assert ScheduledControl({}, own).corrupt_values(ctx(), 5, 2) == [ZERO, ONE]
+    assert OverrideStrategy(own, {}).corrupt_values(ctx(), 6, 1) == [ZERO]
+    assert own.calls == [4, 4, 4, 5, 5, 6]
+    # a wrapper's subclass that defines its own corrupt_value is called per copy
+    assert _ScheduledOwnLies({}, RandomizedControl()).corrupt_values(ctx(), 2, 2) == [ONE, ONE]
+    # without one, the batch is the random draws
+    drawn, reference = ctx(), ctx()
+    assert ScheduledControl({}, RandomizedControl()).corrupt_values(drawn, 2, 5) == (
+        reference.random_payloads(5)
+    )
+    assert drawn.rng.getstate() == reference.rng.getstate()

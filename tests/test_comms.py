@@ -255,7 +255,7 @@ def test_decode_shortcut_agrees_with_the_full_count(data):
     overridden = data.draw(st.sets(st.integers(0, arrived + 3)), label="overridden")
     overrides = {c: data.draw(st.sampled_from(PAYLOADS)) for c in sorted(overridden)}
     kept = all(payload is sent[0] for payload in sent)
-    applies = kept and _honest_majority(copies, overrides)
+    applies = kept and _honest_majority([c for _arrival, c in copies], overrides)
     event(f"shortcut applies: {applies}")
     values = [overrides.get(c, sent[inject[c] - 1]) for _arrival, c in copies]
     if applies:
@@ -280,8 +280,8 @@ def test_sparse_decode_equals_counting_every_copy(scheme, data):
     payloads = {i: data.draw(st.sampled_from(PAIRS)) for i in g.vertices}
     transfers = SparseTransfers(scheme, list(g.vertices), payloads.__getitem__)
 
-    def corrupt(_pid):
-        return data.draw(st.sampled_from(PAIRS))
+    def corrupt(_pid, k):
+        return [data.draw(st.sampled_from(PAIRS)) for _ in range(k)]
 
     for t in range(1, scheme.T + 1):
         controlled = data.draw(st.sets(st.integers(1, g.n), max_size=2), label="controlled")
@@ -307,7 +307,7 @@ def test_sparse_decode_equals_counting_every_copy(scheme, data):
 
 
 def test_decode_shortcut_boundary():
-    copies = [(2, c) for c in range(4)]
+    copies = tuple(range(4))  # copy ids
     assert _honest_majority(copies, {0: ZERO})
     assert not _honest_majority(copies, {0: ZERO, 1: ZERO})  # a tie is no majority
     assert _decode([ZERO, ZERO, ONE, ONE]) == (ZERO, True)

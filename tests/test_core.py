@@ -153,6 +153,35 @@ def test_replace_returns_the_canonical_instance():
     assert dataclasses.replace(state, medium=MANY).emission() is PairMessage(ONE, MANY)
 
 
+@pytest.mark.parametrize("clone", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+def test_cached_emission_is_invisible(clone):
+    """A state caches its pair on first use; equality, hashing, its record,
+    its pickle and its copies are those of a state that never emitted."""
+    def make():
+        return ProcessorState(high=ONE, medium=MANY, high_set=frozenset({ONE}),
+                              medium_set=frozenset({ONE, MANY}), decided=ONE,
+                              buffers=(("2->1", 0, 1, "1", False),))
+
+    fresh, used = make(), make()
+    pickled = pickle.dumps(fresh)
+    assert used.emission() is PairMessage(ONE, MANY)
+    assert used.emission() is used.emission()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used.to_record() == fresh.to_record()
+    assert pickle.dumps(used) == pickled
+    assert vars(clone(used)) == vars(clone(fresh)) == vars(fresh)
+    cloned = clone(used)
+    assert cloned == fresh and cloned.emission() is PairMessage(ONE, MANY)
+    changed = dataclasses.replace(used, high=EMPTY)
+    assert changed.emission() is PairMessage(EMPTY, MANY)
+    assert used.emission() is PairMessage(ONE, MANY)
+
+
 def test_order_and_rendering_unchanged_over_a_three_symbol_alphabet():
     assert sorted(reversed(ALPHABET_3)) == ALPHABET_3
     assert [v.sort_key() for v in ALPHABET_3] == [(0, -1), (1, -1), (2, 0), (2, 1), (2, 2)]

@@ -6,11 +6,15 @@ visits only the copies a controlled processor holds or receives, and a full
 trace renders the hops and buffers from its copy index. The reference,
 `oracles.TransferRuns`, marches every copy through `comms.TransferRun`; put
 in the engine's place, it must give a byte-identical full trace, count the
-same decode fallbacks and make the same adversary calls. Bare and relay
-rounds build the per-link `sent` table only for full traces. The same
-scenario at both levels must control the same processors, reach the same
-states, count the same decode fallbacks and make the same `forge`, `rewrite`
-and `corrupt_value` calls in the same order.
+same decode fallbacks and make the same adversary calls. The engine draws
+a controlled processor's lies in batches and the reference one copy at a
+time, so random lies test that the batches keep the draw order, and a
+strategy that defines only `corrupt_value` must be called once per copy in
+the reference's order. Bare and relay rounds build the per-link `sent`
+table only for full traces. The same scenario at both levels must control
+the same processors, reach the same states, count the same decode
+fallbacks and make the same `forge`, `rewrite` and `corrupt_value` calls in
+the same order.
 """
 
 import dataclasses
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 from mobyz import (
     SOURCE,
+    PairMessage,
     RandomizedControl,
     Scenario,
     ScheduledControl,
@@ -104,10 +109,37 @@ class Logged(Strategy):
         return self.inner.corrupt_value(ctx, pid)
 
 
-def assert_levels_agree(case, make_inner, seed):
+class CountedLies(RandomizedControl):
+    """Random control whose class defines `corrupt_value` and no batch:
+    each lie depends on the pid and on how many lies came before, and each
+    call is logged as ("corrupt_value", round, pid)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def corrupt_value(self, ctx, pid):
+        count = len(self.calls)
+        self.calls.append(("corrupt_value", ctx.round, pid))
+        choices = sim._value_choices(ctx.scenario.alphabet_size)
+        high = choices[(pid + count) % len(choices)]
+        if ctx.payload_kind == "value":
+            return high
+        return PairMessage(high, choices[(pid * count) % len(choices)])
+
+
+def scheduled_counted_lies(schedule):
+    """`ScheduledControl` passing its batches to `CountedLies`."""
+    inner = CountedLies()
+    strategy = ScheduledControl(schedule, inner)
+    strategy.calls = inner.calls
+    return strategy
+
+
+def assert_levels_agree(case, make_inner, seed, wrap=Logged):
+    """`wrap` gives the strategy with its call log, `calls`."""
     runs = {}
     for level in ("states", "full"):
-        strategy = Logged(make_inner())
+        strategy = wrap(make_inner())
         scenario = dataclasses.replace(
             _base(case), strategy=strategy, seed=seed, trace_level=level
         )
@@ -166,22 +198,29 @@ def first_difference(text, oracle_text):
     return next((rho for rho, (a, b) in enumerate(lines, start=1) if a != b), None)
 
 
-def assert_matches_oracle(case, make_inner, seed):
+def oracle_runs(case, make_strategy, seed) -> list:
     """A full trace through the engine's back-end, then with the reference
-    in its place: the same text, fallbacks and adversary calls."""
+    in its place: (text, fallbacks, strategy) of each."""
     runs = []
     for backend in (sim.SparseTransfers, TransferRuns):
-        strategy = Logged(make_inner())
+        strategy = make_strategy()
         scenario = dataclasses.replace(_base(case), strategy=strategy, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "SparseTransfers", backend)
             trace = run(scenario)
-        runs.append((trace.to_text(), trace.decode_fallbacks, strategy.calls))
-    (text, fallbacks, calls), (oracle_text, oracle_fallbacks, oracle_calls) = runs
+        runs.append((trace.to_text(), trace.decode_fallbacks, strategy))
+    return runs
+
+
+def assert_matches_oracle(case, make_inner, seed, wrap=Logged):
+    """The same text, fallbacks and adversary calls with either back-end."""
+    (text, fallbacks, strategy), (oracle_text, oracle_fallbacks, oracle_strategy) = (
+        oracle_runs(case, lambda: wrap(make_inner()), seed)
+    )
     assert first_difference(text, oracle_text) is None
     assert fallbacks == oracle_fallbacks
-    assert calls == oracle_calls
-    assert calls  # the adversary did act
+    assert strategy.calls == oracle_strategy.calls
+    assert strategy.calls  # the adversary did act
 
 
 @pytest.mark.parametrize("case", LIFTED)
@@ -197,3 +236,41 @@ def test_random_control_matches_oracle(case, seed):
 def test_scheduled_control_matches_oracle(case, data, seed):
     schedule = data.draw(schedules(case))
     assert_matches_oracle(case, lambda: ScheduledControl(schedule, Strategy()), seed)
+
+
+def _unwrapped(strategy):
+    return strategy
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_random_lies_match_the_oracle(case, seed):
+    """Unlogged random control draws each controlled processor's lies in
+    batches, the reference one copy at a time: the same trace."""
+    (text, fallbacks, _), (oracle_text, oracle_fallbacks, _) = (
+        oracle_runs(case, RandomizedControl, seed)
+    )
+    assert first_difference(text, oracle_text) is None
+    assert fallbacks == oracle_fallbacks
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@settings(max_examples=1, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_per_copy_lies_match_the_oracle(case, seed):
+    """A strategy whose class defines only `corrupt_value` is called once
+    per copy, in the reference's order: the same calls at both levels and
+    with the reference, and, as each lie depends on the calls before it,
+    the same trace."""
+    assert_levels_agree(case, CountedLies, seed, wrap=_unwrapped)
+    assert_matches_oracle(case, CountedLies, seed, wrap=_unwrapped)
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@settings(max_examples=1, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scheduled_per_copy_lies_match_the_oracle(case, data, seed):
+    schedule = data.draw(schedules(case))
+    assert_levels_agree(case, lambda: schedule, seed, wrap=scheduled_counted_lies)
+    assert_matches_oracle(case, lambda: schedule, seed, wrap=scheduled_counted_lies)

@@ -94,6 +94,50 @@ def test_random_draws_are_the_draws_of_rng_choice(alphabet, kind):
         assert ctx.rng.getstate() == reference.getstate()
 
 
+@pytest.mark.parametrize("alphabet", range(1, 9))
+@pytest.mark.parametrize("kind", ["value", "pair"])
+def test_random_payloads_are_the_draws_of_rng_choice(alphabet, kind):
+    """A batch of k payloads is k `random_payload` draws: the objects of the
+    `rng.choice` stream, in order, leaving the same generator state."""
+    sc = Scenario(network=complete_network(7), m=1, source_value=ZERO,
+                  strategy=NoFaults(), alphabet_size=alphabet)
+    choices = _value_choices(alphabet)
+    for seed in (0, 1, 7, 2024):
+        ctx = StepContext(sc, 2, {}, Trace(n=7), random.Random(seed), kind, {})
+        reference = random.Random(seed)
+        for k in (0, 1, 2, 7, 50):
+            got = ctx.random_payloads(k)
+            if kind == "value":
+                expected = [reference.choice(choices) for _ in range(k)]
+            else:
+                expected = [PairMessage(reference.choice(choices), reference.choice(choices))
+                            for _ in range(k)]
+            assert len(got) == k
+            assert all(a is b for a, b in zip(got, expected))
+            assert ctx.rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("kind, slots", [
+    ("value", {1: [2, 3, 4, 5, 6, 7]}),  # the source's round-1 neighbours
+    ("pair", {4: [7, 1, 5, 2]}),  # any slot order is kept
+    ("pair", {4: []}),
+], ids=["value", "pair", "no-slots"])
+def test_default_forge_is_the_per_slot_draw(kind, slots):
+    """The default `forge` fills its slots from one batch: the objects, the
+    slot order and the generator state of one `random_payload` per slot."""
+    sc = Scenario(network=complete_network(7), m=1, source_value=ZERO,
+                  strategy=NoFaults(), alphabet_size=3)
+    (pid,) = slots
+    for seed in (0, 5, 99):
+        ctx = StepContext(sc, 2, {}, Trace(n=7), random.Random(seed), kind, slots)
+        reference = StepContext(sc, 2, {}, Trace(n=7), random.Random(seed), kind, slots)
+        forged = Strategy().forge(ctx, pid)
+        expected = {q: reference.random_payload() for q in reference.slots(pid)}
+        assert list(forged) == list(expected) == slots[pid]
+        assert all(forged[q] is expected[q] for q in expected)
+        assert ctx.rng.getstate() == reference.rng.getstate()
+
+
 def test_fault_free_run_decides_from_round_two():
     sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=NoFaults())
     trace = run(sc)
@@ -373,6 +417,40 @@ def test_corrupted_copy_must_have_the_round_kind(level, round_no, payload, expec
     with pytest.raises(StrategyViolation, match=re.escape(
             f"round {round_no}: corrupt_value for 3 returned {payload!r}, "
             f"not a {expected}") + "$"):
+        run(sc)
+
+
+class _MisCountsLies(Strategy):
+    """Controls processor 3 in one physical round; its batches of lies are
+    one payload short, or not a list at all."""
+
+    def __init__(self, round_no, short=True):
+        self.round_no, self.short = round_no, short
+
+    def controlled(self, ctx):
+        return frozenset({3}) if ctx.round == self.round_no else frozenset()
+
+    def corrupt_values(self, ctx, pid, k):
+        return ctx.random_payloads(k - 1) if self.short else None
+
+
+@pytest.mark.parametrize("level", ["states", "full"])
+@pytest.mark.parametrize("round_no", [1, 3])
+def test_corrupted_batch_must_have_one_lie_per_copy(level, round_no):
+    g = complete_minus_matching(13, 6)
+    lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1))
+    sc = Scenario(network=g, m=1, source_value=ONE, strategy=_MisCountsLies(round_no),
+                  mode="lifted", lifted=lifted, trace_level=level)
+    with pytest.raises(StrategyViolation) as raised:
+        run(sc)
+    got, k = map(int, re.fullmatch(
+        rf"round {round_no}: corrupt_values for 3 returned (\d+) payloads, not a list of (\d+)",
+        str(raised.value)).groups())
+    assert got == k - 1
+    sc.strategy = _MisCountsLies(round_no, short=False)
+    with pytest.raises(StrategyViolation,
+                       match=rf"^round {round_no}: corrupt_values for 3 returned None, "
+                             rf"not a list of \d+$"):
         run(sc)
 
 
