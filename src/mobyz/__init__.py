@@ -36,7 +36,6 @@ from .protocol import (
     ProtocolParams,
     first_round_state,
     pivot_index,
-    round_update,
     termination_round,
 )
 from .comms import (

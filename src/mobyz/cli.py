@@ -95,6 +95,115 @@ def _build_strategy(desc: str, m: int):
     raise ScenarioError(f"strategy: unknown kind {kind!r}")
 
 
+# The keys each kind of scenario file reads, by its `pair` value (None: a
+# single run). Any other key is an error.
+_COMMON = {"network", "m", "rounds"}
+KEYS = {
+    None: _COMMON | {"source-value", "alphabet", "protocol", "strategy", "seed"},
+    "five-set": _COMMON | {"pair", "source-value", "fake-value", "swap", "perturb"},
+    "cut-set": _COMMON | {"pair", "cut", "observer", "perturb"},
+}
+
+
+def _need(keys: dict, key: str) -> str:
+    if key not in keys:
+        raise ScenarioError(f"missing required key: {key}")
+    return keys[key]
+
+
+def _parsed(key: str, value: str, parse=int, what="an integer"):
+    try:
+        return parse(value)
+    except ValueError:
+        raise ScenarioError(f"{key}: not {what}: {value!r}") from None
+
+
+def _symbol(keys: dict, key: str, default: str):
+    return _parsed(key, keys.get(key, default), parse_value, "a value")
+
+
+def _round_and_sender(text: str):
+    rno, sender = _parse_ids(text)
+    return rno, sender
+
+
+def _build_pair(kind: str, keys: dict, network, m: int, rounds):
+    try:
+        if kind == "five-set":
+            if not network.is_complete():
+                raise ScenarioError(
+                    f"pair: five-set needs a complete network, not {keys['network']!r}"
+                )
+            swap = keys.get("swap", "false")
+            if swap not in ("true", "false"):
+                raise ScenarioError(f"swap: not true or false: {swap!r}")
+            pair = adversary.five_set_pair(
+                n=network.n,
+                m=m,
+                source_value=_symbol(keys, "source-value", "1"),
+                fake_value=_symbol(keys, "fake-value", "0"),
+                rounds=rounds,
+                swap=swap == "true",
+            )
+        else:
+            cut = _parsed("cut", _need(keys, "cut"), _parse_ids, "a list of processor ids")
+            observer = _parsed("observer", _need(keys, "observer"))
+            pair = adversary.cut_set_pair(
+                network, sim.SOURCE, cut, observer, m, rounds=rounds
+            )
+    except ValueError as e:
+        raise ScenarioError(f"pair: {e}") from None
+    if "perturb" in keys:
+        rno, sender = _parsed("perturb", keys["perturb"], _round_and_sender, "ROUND SENDER")
+        if not (1 <= rno <= pair.scenario_b.rounds and 1 <= sender <= network.n):
+            raise ScenarioError(f"perturb: round {rno} or sender {sender} is outside the run")
+        # the sensitivity control: one forged payload toward an observer
+        pair.scenario_b.strategy = adversary.OverrideStrategy(
+            pair.scenario_b.strategy,
+            {(rno, sender, min(pair.observers)): PairMessage(MANY, MANY)},
+        )
+    return pair
+
+
+def _build_single(keys: dict, network, m: int, rounds):
+    source_value = _symbol(keys, "source-value", "1")
+    protocol = keys.get("protocol", "bare").split()
+    alphabet = _parsed("alphabet", keys.get("alphabet", "2"))
+    lifted = None
+    mode = protocol[0]
+    try:
+        if mode == "lifted":
+            if len(protocol) < 2:
+                raise ScenarioError("protocol: lifted needs a scheme name")
+            if protocol[1] == "two-round":
+                scheme = comms.two_round_scheme(network, m)
+            elif protocol[1] == "flood":
+                if len(protocol) < 3:
+                    raise ScenarioError("protocol: lifted flood needs kappa")
+                scheme = comms.flood_scheme(network, m, int(protocol[2]))
+            else:
+                raise ScenarioError(f"protocol: unknown scheme {protocol[1]!r}")
+            from .protocol import ProtocolParams
+
+            lifted = comms.lift(
+                scheme, ProtocolParams(n=network.n, m=m, alphabet_size=alphabet)
+            )
+            mode = "lifted"
+        return sim.Scenario(
+            network=network,
+            m=m,
+            source_value=source_value,
+            strategy=_build_strategy(keys.get("strategy", "none"), m),
+            mode=mode,
+            lifted=lifted,
+            alphabet_size=alphabet,
+            rounds=rounds,
+            seed=_parsed("seed", keys.get("seed", "0")),
+        )
+    except ValueError as e:
+        raise ScenarioError(str(e)) from None
+
+
 def parse_scenario_text(text: str, base_dir: Path):
     """Parse a scenario file into ("single", Scenario) or ("pair", ScenarioPair)."""
     keys = {}
@@ -118,91 +227,20 @@ def parse_scenario_text(text: str, base_dir: Path):
         key, _, value = line.partition("=")
         keys[key.strip()] = value.strip()
 
-    def need(key):
-        if key not in keys:
-            raise ScenarioError(f"missing required key: {key}")
-        return keys[key]
-
-    def parsed(key, value, parse=int, what="an integer"):
-        try:
-            return parse(value)
-        except ValueError:
-            raise ScenarioError(f"{key}: not {what}: {value!r}") from None
-
-    def symbol(key, default):
-        return parsed(key, keys.get(key, default), parse_value, "a value")
-
-    m = parsed("m", need("m"))
-    network = _build_graph(need("network"), base_dir, inline_edges)
-    rounds = parsed("rounds", keys["rounds"]) if "rounds" in keys else None
-    source_value = symbol("source-value", "1")
-
-    if "pair" in keys:
-        kind = keys["pair"]
-        if kind == "five-set":
-            try:
-                pair = adversary.five_set_pair(
-                    n=network.n,
-                    m=m,
-                    source_value=source_value,
-                    fake_value=symbol("fake-value", "0"),
-                    rounds=rounds,
-                    swap=keys.get("swap", "false") == "true",
-                )
-            except ValueError as e:
-                raise ScenarioError(f"pair: {e}") from None
-            return "pair", pair
-        if kind == "cut-set":
-            cut = parsed("cut", need("cut"), _parse_ids, "a list of processor ids")
-            observer = parsed("observer", need("observer"))
-            try:
-                pair = adversary.cut_set_pair(
-                    network, sim.SOURCE, cut, observer, m, rounds=rounds
-                )
-            except ValueError as e:
-                raise ScenarioError(f"pair: {e}") from None
-            return "pair", pair
+    kind = keys.get("pair")
+    if kind not in KEYS:
         raise ScenarioError(f"pair: unknown kind {kind!r}")
+    unknown = sorted(set(keys) - KEYS[kind])
+    if unknown:
+        what = f"a {kind} pair" if kind else "a single-run"
+        raise ScenarioError(f"{unknown[0]}: not a key of {what} scenario")
 
-    protocol = keys.get("protocol", "bare").split()
-    alphabet = parsed("alphabet", keys.get("alphabet", "2"))
-    lifted = None
-    mode = protocol[0]
-    try:
-        if mode == "lifted":
-            if len(protocol) < 2:
-                raise ScenarioError("protocol: lifted needs a scheme name")
-            if protocol[1] == "two-round":
-                scheme = comms.two_round_scheme(network, m)
-            elif protocol[1] == "flood":
-                if len(protocol) < 3:
-                    raise ScenarioError("protocol: lifted flood needs kappa")
-                scheme = comms.flood_scheme(network, m, int(protocol[2]))
-            else:
-                raise ScenarioError(f"protocol: unknown scheme {protocol[1]!r}")
-            from .protocol import ProtocolParams
-
-            lifted = comms.lift(
-                scheme, ProtocolParams(n=network.n, m=m, alphabet_size=alphabet)
-            )
-            mode = "lifted"
-        strategy = _build_strategy(keys.get("strategy", "none"), m)
-        scenario = sim.Scenario(
-            network=network,
-            m=m,
-            source_value=source_value,
-            strategy=strategy,
-            mode=mode,
-            lifted=lifted,
-            alphabet_size=alphabet,
-            rounds=rounds,
-            seed=parsed("seed", keys.get("seed", "0")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as e:
-        raise ScenarioError(str(e)) from None
-    return "single", scenario
+    m = _parsed("m", _need(keys, "m"))
+    network = _build_graph(_need(keys, "network"), base_dir, inline_edges)
+    rounds = _parsed("rounds", keys["rounds"]) if "rounds" in keys else None
+    if kind:
+        return "pair", _build_pair(kind, keys, network, m, rounds)
+    return "single", _build_single(keys, network, m, rounds)
 
 
 def _load_scenario(path: str):
@@ -362,45 +400,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_pair(args) -> int:
-    try:
-        if args.kind == "five-set":
-            pair = adversary.five_set_pair(
-                n=args.n, m=args.m, rounds=args.rounds, swap=args.swap
-            )
-        else:
-            if args.graph:
-                g = graphs.read_edge_list(Path(args.graph).read_text())
-            else:
-                g = graphs.make_two_clique_network(args.clique, args.bridge)
-            cut = args.cut or list(range(2 * args.clique + 1, g.n + 1))
-            observer = args.observer if args.observer else args.clique + 1
-            pair = adversary.cut_set_pair(
-                g, sim.SOURCE, cut, observer, args.m, rounds=args.rounds
-            )
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    if args.perturb:
-        rno, sender = args.perturb
-        victim = min(pair.observers)
-        pair.scenario_b.strategy = adversary.OverrideStrategy(
-            pair.scenario_b.strategy,
-            {(rno, sender, victim): PairMessage(MANY, MANY)},
-        )
-    same, where = sim.check_indistinguishable(pair)
-    if same:
-        print(
-            f"indistinguishable ({pair.label}): observers {sorted(pair.observers)} "
-            f"see identical views over {pair.scenario_a.rounds} rounds"
-        )
-        return 0
-    rno, obs, field = where
-    print(f"DISTINGUISHABLE: first divergence round {rno}, observer {obs}, {field}")
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mobyz",
@@ -429,20 +428,6 @@ def main(argv=None) -> int:
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("pair", help="build an indistinguishability pair and check it")
-    p.add_argument("kind", choices=["five-set", "cut-set"])
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--clique", type=int, default=4)
-    p.add_argument("--bridge", type=int, default=4)
-    p.add_argument("--graph", help="edge-list file instead of a generated two-clique")
-    p.add_argument("--cut", type=int, nargs="*")
-    p.add_argument("--observer", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--swap", action="store_true")
-    p.add_argument("--perturb", type=int, nargs=2, metavar=("ROUND", "SENDER"))
-    p.set_defaults(fn=cmd_pair)
 
     args = parser.parse_args(argv)
     try:

@@ -11,14 +11,12 @@ over a multi-round communication scheme.
 
 The honest rule is stated once, in `histogram_update`, over how many
 received pairs carried each value as their high and as their medium half,
-plus the high half received from the pivot. `round_update` is the rule's
-adapter for an explicit list of n received pairs; the engine counts the
-pairs of a round once for all receivers instead (`sim._count_pairs`).
+plus the high half received from the pivot. The engine counts the pairs
+of a round once for all receivers (`sim._count_pairs`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import EMPTY, MANY, ProcessorState, Value
@@ -135,33 +133,4 @@ def histogram_update(
         high_set=high_set,
         medium_set=medium_set,
         decided=decided,
-    )
-
-
-def round_update(
-    self_id: int,
-    state: ProcessorState,
-    received: list,
-    r: int,
-    params: ProtocolParams,
-) -> ProcessorState:
-    """One honest update for round r >= 2 from exactly n received pairs.
-
-    received[i-1] is the pair from processor i (everyone sends, self
-    included). Counts the pairs and applies `histogram_update`.
-    """
-    n = params.n
-    if len(received) != n:
-        raise ValueError(f"expected {n} messages, got {len(received)}")
-    if r < 2:
-        raise ValueError("round_update applies from round 2 on")
-    pivot = pivot_index(r)
-    return histogram_update(
-        self_id,
-        state,
-        Counter(msg.high for msg in received),
-        Counter(msg.medium for msg in received),
-        received[pivot - 1].high if pivot <= n else None,
-        r,
-        params,
     )

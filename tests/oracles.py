@@ -1,12 +1,15 @@
 """Brute-force oracles, independent of the implementations under test: the
 per-round protocol rules, the flow-based graph queries, the lifted
-transfer back-end and the trace writer."""
+transfer back-end and the trace writer; also the honest rule's adapter for
+an explicit list of received pairs, which only tests call."""
 
 import itertools
 import json
+from collections import Counter
 
 from mobyz import EMPTY, MANY, Network, PairMessage, Value
 from mobyz.comms import CommScheme, TransferRun
+from mobyz.protocol import histogram_update, pivot_index
 
 
 def brute_min_separator(g, u, v):
@@ -82,6 +85,34 @@ def oracle_update(self_id, prev_decided, received, r, n, m):
         return next(iter(s))
 
     return decided, frozenset(high), frozenset(medium), summary(high), summary(medium)
+
+
+# --- the honest rule's adapter for an explicit list of received pairs: it
+# calls the implementation under test, so it is a convenience, not an oracle --
+
+
+def round_update(self_id, state, received, r, params):
+    """One honest update for round r >= 2 from exactly n received pairs.
+
+    received[i-1] is the pair from processor i (everyone sends, self
+    included). Counts the pairs and applies `protocol.histogram_update`;
+    the engine counts a round's pairs once for all receivers instead.
+    """
+    n = params.n
+    if len(received) != n:
+        raise ValueError(f"expected {n} messages, got {len(received)}")
+    if r < 2:
+        raise ValueError("round_update applies from round 2 on")
+    pivot = pivot_index(r)
+    return histogram_update(
+        self_id,
+        state,
+        Counter(msg.high for msg in received),
+        Counter(msg.medium for msg in received),
+        received[pivot - 1].high if pivot <= n else None,
+        r,
+        params,
+    )
 
 
 # --- reference lifted back-end: marches every copy of every transfer hop by

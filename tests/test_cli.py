@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -352,28 +354,91 @@ def test_generate_to_stdout(capsys):
     assert len(stdout.splitlines()) == 5
 
 
-def test_pair_command_five_set(capsys):
-    code, stdout, _ = invoke(capsys, "pair", "five-set", "--n", "5", "--m", "1")
-    assert code == 0
-    assert "indistinguishable" in stdout
+FIVE_SET = "network = complete 5\nm = 1\npair = five-set\n"
+CUT_SET = "network = two-clique 4 4\nm = 1\npair = cut-set\ncut = 9,10,11,12\nobserver = 5\n"
 
 
-def test_pair_command_cut_set_defaults(capsys):
-    code, stdout, _ = invoke(capsys, "pair", "cut-set")
-    assert code == 0
-    assert "indistinguishable" in stdout
+def test_pair_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["pair", "five-set"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'pair'" in capsys.readouterr().err
 
 
-def test_pair_command_perturbed_diverges(capsys):
-    code, stdout, _ = invoke(
-        capsys, "pair", "five-set", "--n", "5", "--m", "1", "--perturb", "3", "2"
-    )
+def test_run_perturbed_pair_diverges(tmp_path, capsys):
+    scenario = write(tmp_path, "pair.txt", FIVE_SET + "perturb = 3 2\n")
+    code, stdout, _ = invoke(capsys, "run", scenario)
     assert code == 1
     assert "DISTINGUISHABLE" in stdout
     assert "round 3" in stdout
 
 
-def test_pair_command_bad_parameters(capsys):
-    code, _, err = invoke(capsys, "pair", "five-set", "--n", "6", "--m", "1")
+def test_run_five_set_pair_rejects_n_above_5m(tmp_path, capsys):
+    scenario = write(tmp_path, "pair.txt", FIVE_SET.replace("complete 5", "complete 6"))
+    code, _, err = invoke(capsys, "run", scenario)
     assert code == 2
     assert "5m" in err
+
+
+def test_run_five_set_pair_swapped(tmp_path, capsys):
+    scenario = write(tmp_path, "pair.txt", FIVE_SET + "swap = true\n")
+    code, stdout, _ = invoke(capsys, "run", scenario)
+    assert code == 0
+    assert "indistinguishable: observers [2, 3]" in stdout
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASELINE + "sed = 5\n", "sed: not a key of a single-run scenario"),
+    (BASELINE + "cut = 3\n", "cut: not a key of a single-run scenario"),
+    (FIVE_SET + "strategy = random\n", "strategy: not a key of a five-set pair scenario"),
+    (FIVE_SET + "seed = 3\n", "seed: not a key of a five-set pair scenario"),
+    (CUT_SET + "fake-value = 2\n", "fake-value: not a key of a cut-set pair scenario"),
+    (CUT_SET + "swap = true\n", "swap: not a key of a cut-set pair scenario"),
+    (FIVE_SET + "swap = yes\n", "swap: not true or false: 'yes'"),
+    (FIVE_SET.replace("five-set", "six-set"), "pair: unknown kind 'six-set'"),
+    (FIVE_SET.replace("complete 5", "cycle 5"),
+     "pair: five-set needs a complete network, not 'cycle 5'"),
+    (FIVE_SET + "perturb = 3\n", "perturb: not ROUND SENDER: '3'"),
+    (FIVE_SET + "perturb = 3 2 1\n", "perturb: not ROUND SENDER: '3 2 1'"),
+    (FIVE_SET + "perturb = 11 2\n", "perturb: round 11 or sender 2 is outside the run"),
+    (CUT_SET + "perturb = 3 13\n", "perturb: round 3 or sender 13 is outside the run"),
+], ids=[
+    "typo", "cut-in-single-run", "strategy-in-pair", "seed-in-pair",
+    "fake-value-in-cut-set", "swap-in-cut-set", "swap-not-boolean", "unknown-pair",
+    "five-set-on-cycle", "perturb-one-id", "perturb-three-ids", "perturb-round-too-late",
+    "perturb-no-such-sender",
+])
+def test_run_rejects_what_the_file_kind_does_not_read(tmp_path, capsys, text, message):
+    scenario = write(tmp_path, "s.txt", text)
+    code, stdout, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"scenario error: {message}"]
+
+
+def _readme_section(title):
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_scenario_examples():
+    """The README's runnable scenario files, by pair kind ("single-run")."""
+    blocks = _readme_section("Scenario files").split("```")[1::2]
+    return {
+        re.search(r"^pair = (\S+)", b, re.M)[1] if "pair =" in b else "single-run": b
+        for b in blocks if "network =" in b
+    }
+
+
+def test_readme_lists_every_scenario_key():
+    section = _readme_section("Scenario files")
+    for key in sorted(set().union(*cli.KEYS.values())):
+        assert re.search(rf"^{key} = ", section, re.M), key
+
+
+@pytest.mark.parametrize("kind", ["single-run", "five-set", "cut-set"])
+def test_readme_scenario_examples_run(tmp_path, capsys, kind):
+    scenario = write(tmp_path, "s.txt", _readme_scenario_examples()[kind])
+    code, stdout, _ = invoke(capsys, "run", scenario)
+    assert code == 0
+    assert ("indistinguishable" if kind != "single-run" else "agreement: pass") in stdout

@@ -1,6 +1,6 @@
-"""The honest rule over histograms against its list adapter and the oracle,
-and the bare engine's histogram path, one update per receiver class, against
-the per-link `sent` table."""
+"""The honest rule over histograms against the list adapter and the
+per-candidate oracle in `oracles`, and the bare engine's histogram path,
+one update per receiver class, against the per-link `sent` table."""
 
 import os
 import subprocess
@@ -27,13 +27,12 @@ from mobyz import (
     Strategy,
     Value,
     complete_network,
-    round_update,
     run,
 )
 from mobyz.adversary import CounterfactualBehavior
 from mobyz.protocol import histogram_update, pivot_index
 
-from oracles import oracle_update
+from oracles import oracle_update, round_update
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 

@@ -11,11 +11,10 @@ from mobyz import (
     Value,
     first_round_state,
     pivot_index,
-    round_update,
     termination_round,
 )
 
-from oracles import oracle_update
+from oracles import oracle_update, round_update
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 

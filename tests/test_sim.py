@@ -20,12 +20,13 @@ from mobyz import (
     flood_scheme,
     lift,
     make_two_clique_network,
-    round_update,
     run,
     two_round_scheme,
 )
 from mobyz.protocol import ProtocolParams
 from mobyz.sim import StepContext, _round_window, _value_choices
+
+from oracles import round_update
 
 ONE = Value.plain(1)
 ZERO = Value.plain(0)
