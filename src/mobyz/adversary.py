@@ -261,11 +261,14 @@ class ScriptedStrategy(Strategy):
 
 class OverrideStrategy(Strategy):
     """Wraps a strategy, patching selected forged payloads — the sensitivity
-    control for the indistinguishability checker."""
+    control for the indistinguishability checker. `applied` lists the
+    (round, sender, receiver) keys it patched, in the order it did: an
+    override whose sender is not controlled in its round patches nothing."""
 
     def __init__(self, base: Strategy, overrides: dict):
         self.base = base
         self.overrides = overrides  # (round, sender, receiver) -> payload
+        self.applied = []
 
     def controlled(self, ctx):
         return self.base.controlled(ctx)
@@ -273,8 +276,10 @@ class OverrideStrategy(Strategy):
     def forge(self, ctx, pid):
         out = dict(self.base.forge(ctx, pid))
         for q in list(out):
-            if (ctx.round, pid, q) in self.overrides:
-                out[q] = self.overrides[(ctx.round, pid, q)]
+            key = (ctx.round, pid, q)
+            if key in self.overrides:
+                out[q] = self.overrides[key]
+                self.applied.append(key)
         return out
 
     def rewrite(self, ctx, pid):

@@ -204,11 +204,19 @@ def _build_single(keys: dict, network, m: int, rounds):
         raise ScenarioError(str(e)) from None
 
 
+def _first_time(seen: dict, name: str, lineno: int) -> None:
+    if name in seen:
+        raise ScenarioError(f"{name}: given twice, on lines {seen[name]} and {lineno}")
+    seen[name] = lineno
+
+
 def parse_scenario_text(text: str, base_dir: Path):
-    """Parse a scenario file into ("single", Scenario) or ("pair", ScenarioPair)."""
+    """Parse a scenario file into ("single", Scenario) or ("pair", ScenarioPair).
+    A key, or the [edges] section, given twice is an error."""
     keys = {}
     inline_edges = None
     section = None
+    seen = {}  # key or section -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,6 +224,7 @@ def parse_scenario_text(text: str, base_dir: Path):
         if line.startswith("["):
             if line != "[edges]":
                 raise ScenarioError(f"line {lineno}: unknown section {line}")
+            _first_time(seen, line, lineno)
             section = "edges"
             inline_edges = ""
             continue
@@ -225,7 +234,9 @@ def parse_scenario_text(text: str, base_dir: Path):
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        keys[key.strip()] = value.strip()
+        key = key.strip()
+        _first_time(seen, key, lineno)
+        keys[key] = value.strip()
 
     kind = keys.get("pair")
     if kind not in KEYS:
@@ -262,6 +273,12 @@ def cmd_run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     if kind == "pair":
         trace_a, trace_b = sim.run(obj.scenario_a), sim.run(obj.scenario_b)
+        perturbed = obj.scenario_b.strategy
+        if isinstance(perturbed, adversary.OverrideStrategy) and not perturbed.applied:
+            ((rno, sender, _observer),) = perturbed.overrides
+            print(f"error: perturb: sender {sender} is not controlled in round {rno} "
+                  f"of the second run, so no forged payload was overridden", file=sys.stderr)
+            return 1
         same, where = sim._compare_views(obj, trace_a, trace_b)
         if outdir:
             (outdir / "trace_a.jsonl").write_text(trace_a.to_text())

@@ -11,8 +11,9 @@ over a multi-round communication scheme.
 
 The honest rule is stated once, in `histogram_update`, over how many
 received pairs carried each value as their high and as their medium half,
-plus the high half received from the pivot. The engine counts the pairs
-of a round once for all receivers (`sim._count_pairs`).
+plus the high half received from the pivot. It reads a count only through
+the `cut_points` declared beside it. The engine counts the pairs of a round
+once for all receivers (`sim._count_pairs`).
 """
 
 from __future__ import annotations
@@ -74,6 +75,19 @@ def _summary(support: frozenset) -> Value:
     return next(iter(support))
 
 
+def cut_points(params: ProtocolParams) -> tuple:
+    """(2u, 3u, 4u, n-2u-1), the only counts at which `histogram_update`
+    can tell two receivers apart. It reads each high count c, and the medium
+    backing c of the pivot's high, only through `c > k` for these k: medium
+    support above 2u, the pivot's own support above 3u, any other support
+    above 4u, and a decision at c >= n-2u. So two count maps with the same
+    pivot high give one state when each value's high count (0 if absent),
+    and the backing, falls in the same interval between cut points in
+    both."""
+    u = params.fault_unit
+    return 2 * u, 3 * u, 4 * u, params.n - 2 * u - 1
+
+
 def histogram_update(
     self_id: int,
     state: ProcessorState,
@@ -91,24 +105,24 @@ def histogram_update(
     round's pivot, or None when the pivot index exceeds n. Pure: identical
     inputs give identical outputs.
     """
-    n, unit = params.n, params.fault_unit
     if r < 2:
         raise ValueError("the round update applies from round 2 on")
+    medium_cut, pivot_cut, support_cut, decision_cut = cut_points(params)
 
     # decision: a value carried by all but at most 2*unit of the highs
     decided = state.decided
-    qualifying = [x for x, c in high_counts.items() if c >= n - 2 * unit]
+    qualifying = [x for x, c in high_counts.items() if c > decision_cut]
     if len(qualifying) > 1:
         # impossible for counts of n messages once n > 4u
         raise ValueError(
-            f"values {sorted(map(str, qualifying))} all reach n-2u={n - 2 * unit}: "
-            f"the counts do not describe {n} messages"
+            f"values {sorted(map(str, qualifying))} all reach n-2u={decision_cut + 1}: "
+            f"the counts do not describe {params.n} messages"
         )
     if qualifying:
         decided = qualifying[0]
 
     pivot = pivot_index(r)
-    own_threshold = 3 * unit if self_id == pivot else 4 * unit
+    own_threshold = pivot_cut if self_id == pivot else support_cut
 
     # the pivot's high may also qualify on medium-half backing (its own
     # value or MANY); candidates are only values someone sent as a high
@@ -125,7 +139,7 @@ def histogram_update(
         return frozenset(out)
 
     high_set = supported(own_threshold)
-    medium_set = high_set if self_id == pivot else supported(2 * unit)
+    medium_set = high_set if self_id == pivot else supported(medium_cut)
 
     return ProcessorState(
         high=_summary(high_set),

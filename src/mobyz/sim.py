@@ -25,14 +25,20 @@ back-end:
       renders each round's hops and collected buffers from the index.
 In a bare or lifted pair round every receiver gets the same pair from most
 senders, so each back-end gives each sender's payload and only the
-(sender, receiver) exceptions: the pairs forged by controlled bare senders,
-or the transfers that decode to anything but the sender's payload.
-`_count_pairs` counts the payloads once and groups the honest receivers
-into classes by their exception signature, the (sender, payload)
-exceptions addressed to them; each class gets one corrected histogram.
-`histogram_update` reads nothing else of a receiver than its `decided` and
-whether it is the pivot, so `_update_classes` runs it once per (class,
-decided, is pivot) and those receivers share the resulting state.
+exceptions, by sender and then receiver: the pairs forged by controlled
+bare senders, or the transfers that decode to anything but the sender's
+payload. `_count_pairs` counts the payloads once and sorts the honest
+receivers into classes that share one histogram. `histogram_update` reads
+a count only against `protocol.cut_points`, and a receiver's counts differ
+from the common rest by at most the round's reach, the number of senders
+with exceptions (at most m in a bare round). So when no exception comes
+from the pivot and no cut point lies within reach of a count the rule
+reads, every honest receiver is in one class. Otherwise a class is an
+exception signature, the (sender, payload) exceptions addressed to its
+receivers. Either way `histogram_update` reads nothing else of a receiver
+than its `decided` and whether it is the pivot, so `_update_classes` runs
+it once per (class, decided, is pivot) and those receivers share the
+resulting state.
 
 The strategy's hooks are called in one order, the same at both trace levels,
 so the two levels of one scenario draw the same lies. In a physical round:
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Optional
@@ -80,6 +87,7 @@ from .core import (
 from .graphs import Network
 from .protocol import (
     ProtocolParams,
+    cut_points,
     first_round_state,
     histogram_update,
     pivot_index,
@@ -356,7 +364,7 @@ def _rewritten(strategy, ctx, pid) -> ProcessorState:
 
 class _DirectDelivery:
     """Bare and relay rounds, T = K = 1. The per-link `sent` table is built
-    for full traces, in relay mode and in round 1."""
+    for full traces and in round 1."""
 
     def __init__(self, scenario: Scenario, states: dict):
         g = scenario.network
@@ -364,6 +372,7 @@ class _DirectDelivery:
         self.source_value = scenario.source_value
         self.bare = scenario.mode == "bare"
         self.full = scenario.trace_level == "full"
+        self.params = scenario.params
         if self.bare:
             everyone = list(g.vertices)  # one slot list shared by every sender
             self.first_slots = {SOURCE: everyone}
@@ -389,7 +398,7 @@ class _DirectDelivery:
                 p: states[p].emission() for p in slots if p not in controlled
             }
         self.sent = sent = {}
-        if self.full or not self.bare or self.r == 1:
+        if self.full or self.r == 1:
             for p in sorted(slots):
                 for q in slots[p]:
                     sent[(p, q)] = forged[p][q] if p in forged else emitted[p]
@@ -401,18 +410,19 @@ class _DirectDelivery:
         """(what each honest receiver's rule reads, 0 fallbacks): the source's
         payload in round 1 (None for a non-neighbour); in relay pair rounds
         the highs of the neighbours' pairs; in bare pair rounds
-        `_count_pairs` of the honest emissions, with each forged payload an
-        exception."""
-        sent, r = self.sent, self.r
+        `_count_pairs` of the honest emissions, with the forged payloads as
+        the exceptions."""
+        forged, r = self.forged, self.r
         if r == 1:
-            return {p: sent.get((SOURCE, p)) for p in honest}, 0
+            return {p: self.sent.get((SOURCE, p)) for p in honest}, 0
         if not self.bare:
             neighbors = self.network.neighbors
-            return {p: [sent[(i, p)].high for i in neighbors(p)] for p in honest}, 0
-        exceptions = {
-            (i, p): payloads[p] for i, payloads in self.forged.items() for p in honest
-        }
-        return _count_pairs(self.emitted, exceptions, honest, r, self.network.n), 0
+            highs = {i: msg.high for i, msg in self.emitted.items()}
+            return {
+                p: [forged[i][p].high if i in forged else highs[i] for i in neighbors(p)]
+                for p in honest
+            }, 0
+        return _count_pairs(self.emitted, forged, honest, r, self.params), 0
 
     def shown(self) -> tuple:
         """What a full trace records of the round: `sent`, and no buffers."""
@@ -430,6 +440,7 @@ class _LiftedDelivery:
         self.vertices = scenario.network.vertices
         self.states = states
         self.source_value = scenario.source_value
+        self.params = scenario.params
         self.slots = {}
 
     def begin(self, r: int) -> None:
@@ -460,37 +471,61 @@ class _LiftedDelivery:
         if self.r == 1:
             source = payloads[SOURCE]
             return {p: exceptions.get((SOURCE, p), source) for p in honest}, fallbacks
-        n = len(self.vertices)
-        return _count_pairs(payloads, exceptions, honest, self.r, n), fallbacks
+        receivers, by_sender = set(honest), {}
+        for (i, p), value in sorted(exceptions.items()):  # keys are unique: no value compared
+            if p in receivers:
+                by_sender.setdefault(i, {})[p] = value
+        return _count_pairs(payloads, by_sender, honest, self.r, self.params), fallbacks
 
     def shown(self) -> tuple:
         """What a full trace records of the round: hops and buffers."""
         return self.transfers.hops, self.transfers.buffers()
 
 
-def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int) -> list:
+def _count_pairs(
+    payloads: dict, exceptions: dict, honest: list, r: int, params: ProtocolParams
+) -> list:
     """What the honest receivers' `histogram_update` reads in pair round r,
     one entry per receiver class: (its receivers, in `honest` order; the
     high and medium count histograms of the n pairs each of them received;
     the pivot's high, None when the pivot index exceeds n). Sender i sent
-    payloads[i] to every receiver except where exceptions[(i, p)] says what
-    p got instead; a sender absent from `payloads` reaches receivers only
-    through exceptions. A receiver's class is its exception signature, the
-    (sender, payload) exceptions addressed to it in sender order, and the
-    receivers without exceptions share one class. The payloads are counted
-    once, and each other class gets corrected copies of the histograms."""
+    payloads[i] to every receiver except where exceptions[i][p] says what p
+    got instead; `exceptions` holds its senders in increasing order, and a
+    sender absent from `payloads` reaches receivers only through it.
+
+    The payloads are counted once. When no exception comes from the pivot
+    and `_cut_in_reach` finds no cut point within the round's reach of a
+    count the rule reads, each test `histogram_update` makes of a
+    receiver's counts (every support, the decision, and the
+    decision-consistency `ValueError`) comes out alike for all honest
+    receivers. They then form one class, counted as the first of them
+    received, and each gets the state, or the error, that its own counts
+    give: traces are those of per-receiver updates. Otherwise a receiver's
+    class is its exception signature, the (sender, payload) exceptions
+    addressed to it in sender order, and the receivers without exceptions
+    share one class. Each class with exceptions gets corrected copies of the
+    base histograms."""
     high_base, medium_base = {}, {}
     for msg in payloads.values():
         high_base[msg.high] = high_base.get(msg.high, 0) + 1
         medium_base[msg.medium] = medium_base.get(msg.medium, 0) + 1
-    by_receiver: dict = {}
-    for (i, p), msg in sorted(exceptions.items()):  # keys are unique: no msg compared
-        by_receiver.setdefault(p, []).append((i, msg))
-    classes: dict = {}
-    for p in honest:
-        classes.setdefault(tuple(by_receiver.get(p, ())), []).append(p)
+    n = params.n
     pivot = pivot_index(r)
     base_pivot = payloads.get(pivot)
+    if pivot not in exceptions and not _cut_in_reach(
+        payloads, exceptions, high_base, medium_base,
+        base_pivot.high if pivot <= n else None, params,
+    ):
+        first = honest[0]
+        classes = {tuple((i, got[first]) for i, got in exceptions.items() if first in got): honest}
+    else:
+        by_receiver: dict = {}
+        for i, got in exceptions.items():
+            for p, msg in got.items():
+                by_receiver.setdefault(p, []).append((i, msg))
+        classes = {}
+        for p in honest:
+            classes.setdefault(tuple(by_receiver.get(p, ())), []).append(p)
     counted = []
     for signature, receivers in classes.items():
         high_counts, medium_counts, pivot_msg = high_base, medium_base, base_pivot
@@ -508,6 +543,38 @@ def _count_pairs(payloads: dict, exceptions: dict, honest: list, r: int, n: int)
         pivot_high = pivot_msg.high if pivot <= n else None
         counted.append((receivers, (high_counts, medium_counts, pivot_high)))
     return counted
+
+
+def _cut_in_reach(payloads, exceptions, high_base, medium_base, pivot_high, params) -> bool:
+    """Whether some receiver's test `c > k`, for a count c the rule reads
+    and k in `cut_points`, can come out unlike another's. The senders
+    without exceptions give every receiver the same rest of the histograms.
+    Each of the reach senders with exceptions adds one pair to each
+    receiver's, its payload or an exception, so in a bare round, where no
+    forged sender has a payload, reach is what every honest receiver has.
+    A count lies in [c, c + reach] for c its value in the rest: a high count
+    (0 for a value absent from it), or the medium backing of pivot_high as
+    `histogram_update` computes it (none for None or EMPTY). The test can
+    differ only if a cut point k has c <= k < c + reach."""
+    touched = [payloads[i] for i in exceptions if i in payloads]
+    if touched:  # lifted rounds: take the senders with exceptions out
+        high_base, medium_base = dict(high_base), dict(medium_base)
+        for msg in touched:
+            high_base[msg.high] -= 1
+            medium_base[msg.medium] -= 1
+    cuts, reach = sorted(cut_points(params)), len(exceptions)
+
+    def crossed(c):
+        return bisect_left(cuts, c) != bisect_left(cuts, c + reach)
+
+    if crossed(0) or any(map(crossed, high_base.values())):
+        return True
+    if pivot_high is None or pivot_high == EMPTY:
+        return False
+    backing = medium_base.get(pivot_high, 0)
+    if pivot_high != MANY:
+        backing += medium_base.get(MANY, 0)
+    return crossed(backing)
 
 
 def _update_classes(states: dict, counted: list, r: int, params: ProtocolParams) -> None:

@@ -84,14 +84,16 @@ def test_run_rejects_negative_fault_bound(tmp_path, capsys):
 
 
 def test_run_rejects_source_value_outside_the_alphabet(tmp_path, capsys):
-    scenario = write(tmp_path, "bad.txt", BASELINE + "source-value = 5\n")
+    text = BASELINE.replace("source-value = 1\n", "source-value = 5\n")
+    scenario = write(tmp_path, "bad.txt", text)
     code, _, err = invoke(capsys, "run", scenario)
     assert code == 2
     assert "outside the alphabet" in err
 
 
 def test_run_rejects_a_malformed_source_value(tmp_path, capsys):
-    scenario = write(tmp_path, "bad.txt", BASELINE + "source-value = banana\n")
+    text = BASELINE.replace("source-value = 1\n", "source-value = banana\n")
+    scenario = write(tmp_path, "bad.txt", text)
     code, _, err = invoke(capsys, "run", scenario)
     assert code == 2
     assert "source-value: not a value: 'banana'" in err
@@ -373,6 +375,18 @@ def test_run_perturbed_pair_diverges(tmp_path, capsys):
     assert "round 3" in stdout
 
 
+def test_run_perturb_that_overrides_nothing_is_an_error(tmp_path, capsys):
+    # processor 5 is in no set the five-set adversary controls in round 3
+    scenario = write(tmp_path, "pair.txt", FIVE_SET + "perturb = 3 5\n")
+    code, stdout, err = invoke(capsys, "run", scenario)
+    assert code == 1
+    assert stdout == ""
+    assert err.splitlines() == [
+        "error: perturb: sender 5 is not controlled in round 3 of the second run, "
+        "so no forged payload was overridden"
+    ]
+
+
 def test_run_five_set_pair_rejects_n_above_5m(tmp_path, capsys):
     scenario = write(tmp_path, "pair.txt", FIVE_SET.replace("complete 5", "complete 6"))
     code, _, err = invoke(capsys, "run", scenario)
@@ -402,11 +416,15 @@ def test_run_five_set_pair_swapped(tmp_path, capsys):
     (FIVE_SET + "perturb = 3 2 1\n", "perturb: not ROUND SENDER: '3 2 1'"),
     (FIVE_SET + "perturb = 11 2\n", "perturb: round 11 or sender 2 is outside the run"),
     (CUT_SET + "perturb = 3 13\n", "perturb: round 3 or sender 13 is outside the run"),
+    (BASELINE + "source-value = 0\n", "source-value: given twice, on lines 4 and 8"),
+    (FIVE_SET + "m = 1\n", "m: given twice, on lines 2 and 4"),
+    ("network = inline\nm = 0\n[edges]\n1 2\n[edges]\n2 3\n",
+     "[edges]: given twice, on lines 3 and 5"),
 ], ids=[
     "typo", "cut-in-single-run", "strategy-in-pair", "seed-in-pair",
     "fake-value-in-cut-set", "swap-in-cut-set", "swap-not-boolean", "unknown-pair",
     "five-set-on-cycle", "perturb-one-id", "perturb-three-ids", "perturb-round-too-late",
-    "perturb-no-such-sender",
+    "perturb-no-such-sender", "repeated-key", "repeated-key-in-pair", "repeated-edges",
 ])
 def test_run_rejects_what_the_file_kind_does_not_read(tmp_path, capsys, text, message):
     scenario = write(tmp_path, "s.txt", text)

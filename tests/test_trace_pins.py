@@ -147,6 +147,8 @@ SCENARIOS = {
     "bare-25-random-full": lambda: _bare_random(25, 4, 5, "full"),
     # receiver classes collide: one liar among 48 honest receivers
     "bare-49-random-states": lambda: _bare_random(49, 1, 1, "states"),
+    # n = 6m+1 with the most forged senders, over three symbols
+    "bare-43-alphabet-3-random-states": lambda: _bare_random(43, 7, 2, "states", 3),
     # random tables of 3, 5 and 8 entries (one, three and four random bits;
     # 8 is the exact power of two)
     "bare-13-alphabet-1-random-states": lambda: _bare_random(13, 2, 4, "states", 1),
@@ -236,6 +238,9 @@ PINS = {
     "lifted-two-round-cmm-13-alphabet-6-full": "eb10d040e2b197fb64a582792e8fc6d2074297f8cc1d0005876caa66f7d73269",
     "relay-cut-set-two-clique-12-8-a-full": "2ae33ffbf5c6be6a041456d0a3168ef49827ad9b790458c36dec3b35da5426de",
     "relay-cut-set-two-clique-12-8-b-full": "d682c8c52f46ad850224c6c6f88e10d9a9ad610b743e1837867501fc0ae8cd38",
+    # generated on the engine before receivers out of the forgeries' reach
+    # of every threshold were merged into one class
+    "bare-43-alphabet-3-random-states": "3fbbbe7573444a418754f0731419d13ff9a358ada4a1974be159ab286db2c364",
 }
 
 
