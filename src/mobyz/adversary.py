@@ -9,11 +9,12 @@ released processor's honest code keeps propagating the lie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 
-from .core import PairMessage, ProcessorState, Value
+from .core import PairMessage, ProcessorState, Trace, Value
 from .graphs import Network
-from .sim import SOURCE, Scenario, relay_update, run
+from .sim import SOURCE, Scenario, logical_round, run
 
 
 class Strategy:
@@ -398,8 +399,12 @@ def cut_set_pair(
     really sent `value_first`; A, B alternate under control and act as if the
     source sent `value_second` with C∪D faulty. Second run: the source really
     sent `value_second`; C, D alternate and act as if it sent `value_first`.
-    Each side's script is the other run's honest behavior, computed by a
-    joint round-by-round simulation.
+    Each side's script is the other run's honest behavior. The two runs are
+    stepped together through the engine's `logical_round`: before each round
+    a liar's emission is filled in from its state in the other run, and after
+    it the liar's plant, and its state, become its new state there. In a
+    relay round a rewrite only shows in later rounds, so until then the
+    plant is the liar's own current state.
     """
     cut = sorted(set(cut))
     if s != SOURCE:
@@ -416,67 +421,25 @@ def cut_set_pair(
         rounds = 2 * g.n
     A, B, C, D = _chunk_into(cut, 4, m)
 
-    sched_first = {r: (A if r % 2 == 1 else B) for r in range(1, rounds + 1)}
-    sched_second = {r: (C if r % 2 == 1 else D) for r in range(1, rounds + 1)}
-    em_first, plant_first = {}, {}
-    em_second, plant_second = {}, {}
-
-    blank = ProcessorState()
-    states_1 = {p: blank for p in g.vertices}
-    states_2 = {p: blank for p in g.vertices}
+    scripts = (
+        ScriptedStrategy({r: (A if r % 2 == 1 else B) for r in range(1, rounds + 1)}, {}, {}),
+        ScriptedStrategy({r: (C if r % 2 == 1 else D) for r in range(1, rounds + 1)}, {}, {}),
+    )
+    scenarios = [
+        Scenario(network=g, m=m, source_value=value, strategy=script, mode="relay", rounds=rounds)
+        for value, script in zip((value_first, value_second), scripts)
+    ]
+    steppers = [replace(sc, trace_level="states") for sc in scenarios]
+    rng = random.Random(0)  # scripted lies draw nothing
+    worlds = [dict.fromkeys(g.vertices, ProcessorState())] * 2  # never changed in place
     for r in range(1, rounds + 1):
-        lying_1 = sched_first[r]
-        lying_2 = sched_second[r]
-        # each scenario's liars replay the other scenario's honest emissions
-        sent_1, sent_2 = {}, {}
-        for p in g.vertices:
-            if r == 1:
-                if p != s:
-                    continue
-                sent_1[p] = value_first
-                sent_2[p] = value_second
-            else:
-                sent_1[p] = (states_2[p] if p in lying_1 else states_1[p]).emission()
-                sent_2[p] = (states_1[p] if p in lying_2 else states_2[p]).emission()
-                if p in lying_1:
-                    em_first[(r, p)] = sent_1[p]
-                if p in lying_2:
-                    em_second[(r, p)] = sent_2[p]
-        new_1 = _relay_round(g, states_1, sent_1, r, value_first)
-        new_2 = _relay_round(g, states_2, sent_2, r, value_second)
-        for p in lying_1:
-            new_1[p] = new_2[p]
-            plant_first[(r, p)] = new_2[p]
-        for p in lying_2:
-            new_2[p] = new_1[p]
-            plant_second[(r, p)] = new_1[p]
-        states_1, states_2 = new_1, new_2
-
-    scenario_a = Scenario(
-        network=g,
-        m=m,
-        source_value=value_first,
-        strategy=ScriptedStrategy(sched_first, em_first, plant_first),
-        mode="relay",
-        rounds=rounds,
-    )
-    scenario_b = Scenario(
-        network=g,
-        m=m,
-        source_value=value_second,
-        strategy=ScriptedStrategy(sched_second, em_second, plant_second),
-        mode="relay",
-        rounds=rounds,
-    )
-    return ScenarioPair(scenario_a, scenario_b, frozenset([observer]), label="cut-set")
-
-
-def _relay_round(g, states, sent, r, source_value):
-    """Everyone's update by the engine's relay rule, as if honest, when each
-    sender p sent sent[p] to all of its neighbours (in round 1, only the
-    source sends)."""
-    if r == 1:
-        heard = {p: sent[SOURCE] if g.adjacent(SOURCE, p) else None for p in g.vertices}
-    else:
-        heard = {p: [sent[q].high for q in g.neighbors(p)] for p in g.vertices}
-    return {p: relay_update(p, states[p], heard[p], r, source_value) for p in g.vertices}
+        for script, here, other in zip(scripts, worlds, reversed(worlds)):
+            for p in script.schedule[r]:
+                script.emissions[(r, p)] = other[p].emission()
+                script.plants[(r, p)] = here[p]
+        new = [logical_round(sc, w, r, rng, Trace(n=g.n)) for sc, w in zip(steppers, worlds)]
+        for script, here, other in zip(scripts, new, reversed(new)):
+            for p in script.schedule[r]:
+                here[p] = script.plants[(r, p)] = other[p]
+        worlds = new
+    return ScenarioPair(scenarios[0], scenarios[1], frozenset([observer]), label="cut-set")

@@ -8,13 +8,16 @@ Three protocol modes:
             most frequent value heard, then repeat it); the deterministic
             honest behavior used by the impossibility scenario pairs.
 
-One loop, `run`, drives every mode; bare and relay are the T = K = 1 case
-(`Scenario.T`, `Scenario.K`). Each logical round takes T physical rounds,
-and in each (1) the adversary picks at most m processors to control, (2) a
-delivery back-end's `step` moves the messages, (3) each controlled processor
-is rewritten, in increasing pid order, followed by the back-end's
-`receiver_controlled`. After the T-th, (4) `decode` gives each honest
-processor what its honest rule reads: `relay_update` in relay mode,
+One round transition, `logical_round`, drives every mode, and `run` is its
+fold over the logical rounds; bare and relay are the T = K = 1 case
+(`Scenario.T`, `Scenario.K`). A logical round builds its delivery back-end
+from the states it starts from and takes T physical rounds, and in each (1)
+the adversary picks at most m processors to control, (2) the back-end's
+`step` moves the messages, (3) each controlled processor is rewritten, in
+increasing pid order, followed by the back-end's `receiver_controlled`.
+After the T-th, (4) `decode` gives each honest processor what its honest
+rule reads: `relay_update` in relay mode (from round 2 on, only to the
+receivers whose high is still EMPTY, since it keeps every other state),
 otherwise `first_round_state` in round 1 and `histogram_update` later. Runs
 are fully deterministic given the scenario seed. The mode picks the
 back-end:
@@ -173,6 +176,8 @@ class Scenario:
             )
         if self.m < 0:
             raise ValueError(f"the fault bound m must be non-negative, got {self.m}")
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if not self.source_value.is_plain:
             raise ValueError("the source value must be a plain symbol")
         if self.source_value.symbol >= self.alphabet_size:
@@ -362,28 +367,31 @@ def _rewritten(strategy, ctx, pid) -> ProcessorState:
     return state
 
 
+@functools.lru_cache(maxsize=8)
+def _direct_slots(network: Network, bare: bool) -> tuple:
+    """(round-1 slots, pair-round slots) of direct delivery on `network`:
+    sender -> the receivers it sends to, in increasing pid order."""
+    if bare:
+        everyone = list(network.vertices)  # one slot list shared by every sender
+        return {SOURCE: everyone}, dict.fromkeys(network.vertices, everyone)
+    return (
+        {SOURCE: sorted(network.neighbors(SOURCE))},
+        {p: sorted(network.neighbors(p)) for p in network.vertices},
+    )
+
+
 class _DirectDelivery:
     """Bare and relay rounds, T = K = 1. The per-link `sent` table is built
     for full traces and in round 1."""
 
-    def __init__(self, scenario: Scenario, states: dict):
-        g = scenario.network
-        self.network, self.states = g, states
+    def __init__(self, scenario: Scenario, states: dict, r: int):
+        self.network, self.states, self.r = scenario.network, states, r
         self.source_value = scenario.source_value
         self.bare = scenario.mode == "bare"
         self.full = scenario.trace_level == "full"
         self.params = scenario.params
-        if self.bare:
-            everyone = list(g.vertices)  # one slot list shared by every sender
-            self.first_slots = {SOURCE: everyone}
-            self.pair_slots = dict.fromkeys(g.vertices, everyone)
-        else:
-            self.first_slots = {SOURCE: sorted(g.neighbors(SOURCE))}
-            self.pair_slots = {p: sorted(g.neighbors(p)) for p in g.vertices}
-
-    def begin(self, r: int) -> None:
-        self.r = r
-        self.slots = self.first_slots if r == 1 else self.pair_slots
+        first_slots, pair_slots = _direct_slots(scenario.network, self.bare)
+        self.slots = first_slots if r == 1 else pair_slots
 
     def step(self, t: int, controlled, ctx) -> None:
         slots, strategy = self.slots, ctx.scenario.strategy
@@ -409,18 +417,20 @@ class _DirectDelivery:
     def decode(self, honest: list):
         """(what each honest receiver's rule reads, 0 fallbacks): the source's
         payload in round 1 (None for a non-neighbour); in relay pair rounds
-        the highs of the neighbours' pairs; in bare pair rounds
-        `_count_pairs` of the honest emissions, with the forged payloads as
-        the exceptions."""
+        the highs of the neighbours' pairs, for the receivers whose high is
+        still EMPTY (`relay_update` keeps every other state); in bare pair
+        rounds `_count_pairs` of the honest emissions, with the forged
+        payloads as the exceptions."""
         forged, r = self.forged, self.r
         if r == 1:
             return {p: self.sent.get((SOURCE, p)) for p in honest}, 0
         if not self.bare:
-            neighbors = self.network.neighbors
+            neighbors, states = self.network.neighbors, self.states
             highs = {i: msg.high for i, msg in self.emitted.items()}
             return {
                 p: [forged[i][p].high if i in forged else highs[i] for i in neighbors(p)]
                 for p in honest
+                if states[p].high == EMPTY
             }, 0
         return _count_pairs(self.emitted, forged, honest, r, self.params), 0
 
@@ -435,23 +445,14 @@ class _LiftedDelivery:
     forges no slots; in round 1 a controlled source also has its own stored
     value corrupted after each `step`."""
 
-    def __init__(self, scenario: Scenario, states: dict):
-        self.scheme = scenario.lifted.scheme
-        self.vertices = scenario.network.vertices
-        self.states = states
-        self.source_value = scenario.source_value
-        self.params = scenario.params
-        self.slots = {}
-
-    def begin(self, r: int) -> None:
-        self.r = r
+    def __init__(self, scenario: Scenario, states: dict, r: int):
+        self.r, self.params, self.slots = r, scenario.params, {}
         if r == 1:
-            self.source_copy = self.source_value  # the source's own stored v_s
+            self.source_copy = scenario.source_value  # the source's own stored v_s
             senders, payload = [SOURCE], lambda i: self.source_copy
         else:
-            states = self.states
-            senders, payload = list(self.vertices), lambda i: states[i].emission()
-        self.transfers = SparseTransfers(self.scheme, senders, payload)
+            senders, payload = list(scenario.network.vertices), lambda i: states[i].emission()
+        self.transfers = SparseTransfers(scenario.lifted.scheme, senders, payload)
 
     def step(self, t: int, controlled, ctx) -> None:
         corrupt = functools.partial(_corrupted, ctx.scenario.strategy, ctx)
@@ -594,52 +595,65 @@ def _update_classes(states: dict, counted: list, r: int, params: ProtocolParams)
             states[p] = updated[key]
 
 
-def run(scenario: Scenario) -> Trace:
-    """Execute the scenario for its full round budget and record the trace."""
-    g = scenario.network
-    T = scenario.T
-    strategy = scenario.strategy
-    rng = random.Random(scenario.seed)
-    trace = Trace(n=g.n)
+def logical_round(scenario: Scenario, states: dict, lr: int, rng, trace: Trace) -> dict:
+    """Run the T physical rounds of logical round `lr` from `states` (pid ->
+    state at its start), append their `RoundTrace`s and decode fallbacks to
+    `trace`, and return the states at its end. `states` is left unchanged.
+
+    The strategy's hooks see `rng`, `trace` and the states. No built-in
+    strategy reads `ctx.trace` or `ctx.states`, so for each of them except
+    those that draw from `rng` (`Strategy`'s defaults, `RandomizedControl`,
+    `StaticControl`'s random rule) a lie depends only on the round, the
+    pid and the control set: two runs that reach the same states in the
+    same round continue alike under the same schedule, whatever came
+    before. That is what lets a search over schedules merge them."""
+    g, T, strategy = scenario.network, scenario.T, scenario.strategy
     full = scenario.trace_level == "full"
-    states = {p: ProcessorState() for p in g.vertices}  # updated in place
-    relay = scenario.mode == "relay"
+    states = dict(states)  # updated in place
+    kind = "value" if lr == 1 else "pair"
     delivery = (_LiftedDelivery if scenario.mode == "lifted" else _DirectDelivery)(
-        scenario, states
+        scenario, states, lr
     )
+    for t in range(1, T + 1):
+        rho = (lr - 1) * T + t
+        ctx = StepContext(scenario, rho, dict(states), trace, rng, kind, delivery.slots)
+        controlled = _controlled(strategy, ctx)
+        delivery.step(t, controlled, ctx)
+        for pid in sorted(controlled):
+            states[pid] = _rewritten(strategy, ctx, pid)
+            delivery.receiver_controlled(pid, ctx)
 
-    for lr in range(1, scenario.rounds // T + 1):
-        kind = "value" if lr == 1 else "pair"
-        delivery.begin(lr)
-        for t in range(1, T + 1):
-            rho = (lr - 1) * T + t
-            ctx = StepContext(scenario, rho, dict(states), trace, rng, kind, delivery.slots)
-            controlled = _controlled(strategy, ctx)
-            delivery.step(t, controlled, ctx)
-            for pid in sorted(controlled):
-                states[pid] = _rewritten(strategy, ctx, pid)
-                delivery.receiver_controlled(pid, ctx)
-
-            if t == T:
-                received, fallbacks = delivery.decode(
-                    [p for p in g.vertices if p not in controlled]
-                )
-                trace.decode_fallbacks += fallbacks
-                if relay:
-                    for p, got in received.items():
-                        states[p] = relay_update(p, states[p], got, lr, scenario.source_value)
-                elif lr == 1:
-                    for p, got in received.items():
-                        states[p] = first_round_state(got)
-                else:
-                    _update_classes(states, received, lr, scenario.params)
-
-            sent, held = delivery.shown() if full else ({}, None)
-            if held is not None:
-                snapshot = {p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices}
+        if t == T:
+            received, fallbacks = delivery.decode(
+                [p for p in g.vertices if p not in controlled]
+            )
+            trace.decode_fallbacks += fallbacks
+            if scenario.mode == "relay":
+                for p, got in received.items():
+                    states[p] = relay_update(p, states[p], got, lr, scenario.source_value)
+            elif lr == 1:
+                for p, got in received.items():
+                    states[p] = first_round_state(got)
             else:
-                snapshot = dict(states)
-            trace.append(RoundTrace(rho, controlled, sent, snapshot))
+                _update_classes(states, received, lr, scenario.params)
+
+        sent, held = delivery.shown() if full else ({}, None)
+        if held is not None:
+            snapshot = {p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices}
+        else:
+            snapshot = dict(states)
+        trace.append(RoundTrace(rho, controlled, sent, snapshot))
+    return states
+
+
+def run(scenario: Scenario) -> Trace:
+    """Execute the scenario for its full round budget and record the trace:
+    the fold of `logical_round` over its logical rounds."""
+    rng = random.Random(scenario.seed)
+    trace = Trace(n=scenario.n)
+    states = {p: ProcessorState() for p in scenario.network.vertices}
+    for lr in range(1, scenario.rounds // scenario.T + 1):
+        states = logical_round(scenario, states, lr, rng, trace)
     return trace
 
 

@@ -73,6 +73,21 @@ def test_run_rejects_lifted_rounds_it_cannot_honour(tmp_path, capsys):
     assert "52 physical rounds" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("network = complete 7\nm = 1\nrounds = 0\n", "scenario error: rounds must be at least 1, got 0"),
+    ("network = complete 7\nm = 1\nrounds = -3\n", "scenario error: rounds must be at least 1, got -3"),
+    ("network = complete 7\nm = 1\nprotocol = relay\nrounds = 0\n",
+     "scenario error: rounds must be at least 1, got 0"),
+    ("network = complete 5\nm = 1\npair = five-set\nrounds = 0\n",
+     "scenario error: pair: rounds must be at least 1, got 0"),
+    ("network = two-clique 4 4\nm = 1\npair = cut-set\ncut = 9,10,11,12\nobserver = 5\n"
+     "rounds = -3\n", "scenario error: pair: rounds must be at least 1, got -3"),
+], ids=["bare-0", "bare-negative", "relay-0", "five-set-0", "cut-set-negative"])
+def test_run_rejects_fewer_than_one_round(tmp_path, capsys, text, message):
+    code, _, err = invoke(capsys, "run", write(tmp_path, "short.txt", text))
+    assert (code, err.splitlines()) == (2, [message])
+
+
 def test_run_rejects_negative_fault_bound(tmp_path, capsys):
     scenario = write(
         tmp_path, "relay.txt",

@@ -235,6 +235,25 @@ def test_negative_fault_bound_rejected_in_every_mode():
                      lifted=lifted if mode == "lifted" else None)
 
 
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_fewer_than_one_round_rejected_in_every_mode(rounds):
+    g = complete_minus_matching(7, 1)
+    lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=7, m=1))
+    for mode in ("bare", "lifted", "relay"):
+        with pytest.raises(ValueError, match=f"rounds must be at least 1, got {rounds}"):
+            Scenario(network=g if mode != "bare" else complete_network(7), m=1,
+                     source_value=ONE, strategy=RandomizedControl(), mode=mode,
+                     lifted=lifted if mode == "lifted" else None, rounds=rounds)
+
+
+def test_a_run_of_one_round_is_checked():
+    sc = Scenario(network=complete_network(7), m=1, source_value=ONE,
+                  strategy=NoFaults(), rounds=1)
+    verdict = check_agreement(run(sc), sc)
+    assert (verdict.agreement, verdict.agreed_value, verdict.first_stable_round) == (
+        "pass", None, None)
+
+
 def test_all_processors_hit_makes_agreement_vacuous():
     class Sweep(Strategy):
         def controlled(self, ctx):

@@ -29,6 +29,7 @@ from mobyz import (
     complete_minus_matching,
     complete_network,
     cut_set_pair,
+    cycle_network,
     five_set_pair,
     flood_scheme,
     lift,
@@ -126,15 +127,15 @@ def _relay_cut_set_12_8(which):
     return pair.scenario_a if which == "a" else pair.scenario_b
 
 
-def _relay_random():
+def _relay_random(g=None, m=1, seed=3, level="states"):
     return Scenario(
-        network=make_two_clique_network(4, 4),
-        m=1,
+        network=make_two_clique_network(4, 4) if g is None else g,
+        m=m,
         source_value=ONE,
         strategy=RandomizedControl(),
         mode="relay",
-        seed=3,
-        trace_level="states",
+        seed=seed,
+        trace_level=level,
     )
 
 
@@ -193,6 +194,11 @@ SCENARIOS = {
     "relay-cut-set-two-clique-12-8-a-full": lambda: _relay_cut_set_12_8("a"),
     "relay-cut-set-two-clique-12-8-b-full": lambda: _relay_cut_set_12_8("b"),
     "relay-random-two-clique-4-4-states": _relay_random,
+    # sparse or two-clique graphs adopt over many rounds, and random rewrites
+    # plant EMPTY highs on processors released later
+    "relay-random-cycle-9-full": lambda: _relay_random(cycle_network(9), 1, 3, "full"),
+    "relay-random-two-clique-12-8-m2-full": lambda: _relay_random(
+        make_two_clique_network(12, 8), 2, 5, "full"),
 }
 
 # generated on the engine before bare rounds were switched to histograms
@@ -241,6 +247,10 @@ PINS = {
     # generated on the engine before receivers out of the forgeries' reach
     # of every threshold were merged into one class
     "bare-43-alphabet-3-random-states": "3fbbbe7573444a418754f0731419d13ff9a358ada4a1974be159ab286db2c364",
+    # generated on the engine before relay decode skipped the receivers that
+    # had adopted a value
+    "relay-random-cycle-9-full": "ee7862db53affdd2b35d46c01a1163a905e22bc1d496cadd720727725fd9f8b2",
+    "relay-random-two-clique-12-8-m2-full": "c8fa61cb358452a0814625812c1abebfe8415782dbfefbe9a0d80f95f13835b6",
 }
 
 
