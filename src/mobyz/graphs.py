@@ -15,18 +15,30 @@ both source figures of the impossibility test, the source-avoiding local
 connectivity and a separator certificate, from one pass over the source's
 pairs. The min-queries cap each pair at the best count found so far: a flow
 that stops below its cap is a maximum flow, and one that reaches it cannot
-improve the minimum. A pair whose common neighbours (plus the direct edge)
-already reach the cap gets no flow at all. Capping only cuts augmentation
-short, so every flow that runs to the end, and with it every
-`disjoint_paths` system and separator certificate, is the one an uncapped
-search finds. A maximum flow's last, failed search visits exactly the
-residual nodes reachable from the source, and the certificate's cut is read
-from them.
+improve the minimum.
+
+The augmenting search runs over integer nodes (w_in is 2w, w_out is 2w+1),
+takes each vertex's neighbours from a table built once per network, reads
+the one edge unit entering a vertex from a map of the flow, and stops once
+it has pushed the target's in-node. The flow section below says why it
+still finds the path, and on failure visits the nodes, that a search
+listing every residual arc and running until the target pops would. A
+capped count, which returns only min(cap, count), starts its flow from the
+direct edge and the paths through common neighbours, since augmenting from
+any feasible flow reaches the maximum; when those already reach the cap no
+search runs.
+Every other flow (uncapped ones, the certificate flows and `disjoint_paths`)
+starts empty, and capping only cuts augmentation short, so every flow that
+runs to the end, and with it every `disjoint_paths` system and separator
+certificate, is the one an uncapped search from the empty flow finds. A
+maximum flow's last, failed search visits exactly the residual nodes
+reachable from the source, and the certificate's cut is read from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Network:
@@ -56,6 +68,14 @@ class Network:
 
     def sorted_neighbors(self, v: int) -> tuple:
         return self._sorted_adj[v]
+
+    @cached_property
+    def _flow_in_nodes(self) -> tuple:
+        """Per vertex, its neighbours' max-flow in-nodes (2w), largest first;
+        built on the first flow, so networks that run none never pay."""
+        return ((),) + tuple(
+            tuple(2 * w for w in reversed(self._sorted_adj[v])) for v in self.vertices
+        )
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
@@ -151,68 +171,74 @@ def common_neighbors(g: Network, u: int, v: int) -> frozenset:
 # an edge already carrying one the other way closes a two-vertex circulation;
 # it is dropped whole, edge unit and both vertex passages, so no passage is
 # left without edges to block later augmenting paths.
-# Augmenting paths start at ("out", s) and end at ("in", t), found by DFS
-# exploring neighbors smallest-first for determinism.
-
-
-def _residual_successors(g, node, through, edge_flow, s, t):
-    side, v = node
-    succs = []
-    if side == "out":
-        for w in g.sorted_neighbors(v):
-            if (v, w) == (s, t) and (s, t) in edge_flow:
-                continue
-            succs.append(("in", w))
-        if v in through:
-            succs.append(("in", v))  # cancel the vertex passage
-    else:
-        if v not in through:
-            succs.append(("out", v))
-        for w in g.sorted_neighbors(v):
-            if (w, v) in edge_flow:
-                succs.append(("out", w))  # cancel incoming edge flow
-    return succs
+#
+# The search is a DFS from s_out to t_in over integer nodes: w_in is 2w and
+# w_out is 2w+1. An out-node pushes its own in-node when its passage can be
+# cancelled, then its neighbours' in-nodes largest first (from
+# `Network._flow_in_nodes`), so neighbours pop smallest-first, which fixes
+# the augmentation order and with it every pre-agreed path. An in-node has
+# at most one residual arc back along an edge, since capacity 1 lets at most
+# one unit enter its vertex; it is read from a map of edge_flow rebuilt for
+# each search, and t_in, which alone receives several units, is never
+# expanded. The search stops at the first pop after t_in is pushed: t_in's
+# predecessor is fixed at that push, so the path is the one a search run
+# until t_in pops would take, and a failed search never pushes t_in, so it
+# still visits every residual node reachable from s_out.
 
 
 def _augment(g: Network, s: int, t: int, through: set, edge_flow: set):
     """Push one unit along the first augmenting path and return None; with
     no path left, return the residual nodes the search visited, which are
-    all those reachable from ("out", s)."""
-    start = ("out", s)
-    goal = ("in", t)
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt in reversed(_residual_successors(g, node, through, edge_flow, s, t)):
-            if nxt not in prev:
-                prev[nxt] = node
-                stack.append(nxt)
-    else:
+    all those reachable from s_out (w_in is 2w, w_out is 2w+1)."""
+    in_nodes = g._flow_in_nodes
+    into = {b: a for a, b in edge_flow}
+    start, goal = 2 * s + 1, 2 * t
+    # s_out is expanded here, so the loop never meets a saturated s-t edge
+    stack = [w for w in in_nodes[s] if w != goal or (s, t) not in edge_flow]
+    prev = dict.fromkeys(stack, start)
+    prev[start] = None
+    pop, push = stack.pop, stack.append
+    while stack and goal not in prev:
+        node = pop()
+        v = node >> 1
+        if node & 1:
+            if v in through and node - 1 not in prev:
+                prev[node - 1] = node  # cancel the vertex passage
+                push(node - 1)
+            for w in in_nodes[v]:
+                if w not in prev:
+                    prev[w] = node
+                    push(w)
+        else:
+            a = into.get(v)
+            if a is not None and 2 * a + 1 not in prev:
+                prev[2 * a + 1] = node  # cancel the edge unit into v
+                push(2 * a + 1)
+            if v not in through and node + 1 not in prev:
+                prev[node + 1] = node
+                push(node + 1)
+    if goal not in prev:
         return prev.keys()
-    path = []
-    node = goal
-    while node is not None:
-        path.append(node)
-        node = prev[node]
+    path = [goal]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
     path.reverse()
     for a, b in zip(path, path[1:]):
-        if a[0] == "out" and b[0] == "in" and a[1] != b[1]:
-            if (b[1], a[1]) in edge_flow:
-                # opposite units on one edge close the circulation
-                # a -> b -> a through both vertices: drop all of it
-                edge_flow.discard((b[1], a[1]))
-                through.difference_update((a[1], b[1]))
+        u, w = a >> 1, b >> 1
+        if not a & 1:  # u_in -> w_out
+            if u == w:
+                through.add(u)
             else:
-                edge_flow.add((a[1], b[1]))
-        elif a[0] == "in" and b[0] == "out" and a[1] == b[1]:
-            through.add(a[1])
-        elif a[0] == "out" and b[0] == "in" and a[1] == b[1]:
-            through.discard(a[1])
-        elif a[0] == "in" and b[0] == "out":
-            edge_flow.discard((b[1], a[1]))
+                edge_flow.discard((w, u))
+        elif u == w:  # u_out -> u_in
+            through.discard(u)
+        elif (w, u) in edge_flow:
+            # opposite units on one edge close the circulation
+            # u -> w -> u through both vertices: drop all of it
+            edge_flow.discard((w, u))
+            through.difference_update((u, w))
+        else:
+            edge_flow.add((u, w))
     return None
 
 
@@ -238,15 +264,32 @@ def _max_disjoint_flow(g: Network, s: int, t: int, limit=None):
 
 
 def _capped_count(g: Network, s: int, t: int, cap: int) -> int:
-    """min(cap, s-t disjoint-path count), with no flow when the paths through
-    common neighbours, plus the direct edge, already reach the cap."""
-    if len(common_neighbors(g, s, t)) + g.adjacent(s, t) >= cap:
+    """min(cap, s-t disjoint-path count). The flow starts from the direct
+    edge and the paths through common neighbours, a feasible flow that
+    augmenting takes to the maximum; no search runs when it reaches the
+    cap."""
+    common = common_neighbors(g, s, t)
+    count = len(common) + g.adjacent(s, t)
+    if count >= cap:
         return cap
-    return _max_disjoint_flow(g, s, t, cap)[0]
+    through = set(common)
+    edge_flow = {(s, w) for w in common} | {(w, t) for w in common}
+    if g.adjacent(s, t):
+        edge_flow.add((s, t))
+    while count < cap and _augment(g, s, t, through, edge_flow) is None:
+        count += 1
+    return count
+
+
+def _check_vertices(g: Network, *vs) -> None:
+    for v in vs:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} outside 1..{g.n}")
 
 
 def local_connectivity(g: Network, u: int, v: int) -> int:
     """Maximum number of internally-vertex-disjoint u-v paths."""
+    _check_vertices(g, u, v)
     if u == v:
         raise ValueError("u and v must differ")
     return _max_disjoint_flow(g, u, v)[0]
@@ -292,6 +335,7 @@ def source_separation(g: Network, s: int):
     flow. The cut is read from that flow's residual graph: vertices whose
     in-node is reachable from s but whose out-node is not.
     """
+    _check_vertices(g, s)
     if g.n < 2:
         raise ValueError("source separation needs at least two vertices")
     best = None  # (count, residual nodes reachable from s, separated vertex)
@@ -312,7 +356,7 @@ def source_separation(g: Network, s: int):
     count, reach, p = best
     cut = frozenset(
         v for v in g.vertices
-        if v not in (s, p) and ("in", v) in reach and ("out", v) not in reach
+        if v not in (s, p) and 2 * v in reach and 2 * v + 1 not in reach
     )
     if len(cut) != count or g.connected_avoiding(s, p, cut):
         raise RuntimeError(
@@ -327,8 +371,11 @@ def disjoint_paths(g: Network, u: int, v: int, k: int) -> PathSystem:
 
     Raises with the achievable maximum when k exceeds the local connectivity.
     """
+    _check_vertices(g, u, v)
     if u == v:
         raise ValueError("u and v must differ")
+    if k < 0:
+        raise ValueError(f"requested {k} disjoint paths; k must be at least 0")
     count, _, edge_flow, _ = _max_disjoint_flow(g, u, v)
     if k > count:
         raise ValueError(

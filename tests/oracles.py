@@ -1,7 +1,8 @@
 """Brute-force oracles, independent of the implementations under test: the
-per-round protocol rules, the flow-based graph queries, the lifted
-transfer back-end and the trace writer; also the honest rule's adapter for
-an explicit list of received pairs, which only tests call."""
+per-round protocol rules, the flow-based graph queries, the reference
+max-flow search, the lifted transfer back-end and the trace writer; also
+the honest rule's adapter for an explicit list of received pairs, which
+only tests call."""
 
 import itertools
 import json
@@ -42,6 +43,74 @@ def brute_vertex_connectivity(g):
         for v in range(u + 1, g.n + 1)
         if not g.adjacent(u, v)
     )
+
+
+# --- reference max flow: a tuple-encoded augmenting search. Nodes are
+# ("in"|"out", v); every node the DFS pops lists its residual successors
+# smallest-neighbour first, and the search runs until the goal pops.
+# `graphs._augment` must find the same path and leave the same flow state
+# and, on failure, the same visited set ---------------------------------------
+
+
+def residual_successors(g, node, through, edge_flow, s, t):
+    side, v = node
+    succs = []
+    if side == "out":
+        for w in g.sorted_neighbors(v):
+            if (v, w) == (s, t) and (s, t) in edge_flow:
+                continue
+            succs.append(("in", w))
+        if v in through:
+            succs.append(("in", v))  # cancel the vertex passage
+    else:
+        if v not in through:
+            succs.append(("out", v))
+        for w in g.sorted_neighbors(v):
+            if (w, v) in edge_flow:
+                succs.append(("out", w))  # cancel incoming edge flow
+    return succs
+
+
+def reference_augment(g, s, t, through, edge_flow):
+    """Push one unit along the first augmenting path and return None; with
+    no path left, return the residual nodes the search visited, which are
+    all those reachable from ("out", s)."""
+    start = ("out", s)
+    goal = ("in", t)
+    prev = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for nxt in reversed(residual_successors(g, node, through, edge_flow, s, t)):
+            if nxt not in prev:
+                prev[nxt] = node
+                stack.append(nxt)
+    else:
+        return prev.keys()
+    path = []
+    node = goal
+    while node is not None:
+        path.append(node)
+        node = prev[node]
+    path.reverse()
+    for a, b in zip(path, path[1:]):
+        if a[0] == "out" and b[0] == "in" and a[1] != b[1]:
+            if (b[1], a[1]) in edge_flow:
+                # opposite units on one edge close the circulation
+                # a -> b -> a through both vertices: drop all of it
+                edge_flow.discard((b[1], a[1]))
+                through.difference_update((a[1], b[1]))
+            else:
+                edge_flow.add((a[1], b[1]))
+        elif a[0] == "in" and b[0] == "out" and a[1] == b[1]:
+            through.add(a[1])
+        elif a[0] == "out" and b[0] == "in" and a[1] == b[1]:
+            through.discard(a[1])
+        elif a[0] == "in" and b[0] == "out":
+            edge_flow.discard((b[1], a[1]))
+    return None
 
 
 # --- independent oracle: a direct transcription of the per-round rules,

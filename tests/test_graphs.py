@@ -28,7 +28,7 @@ from mobyz import (
 )
 
 
-from oracles import brute_vertex_connectivity
+from oracles import brute_vertex_connectivity, reference_augment
 
 
 # --- basic queries -----------------------------------------------------------
@@ -106,6 +106,22 @@ def test_disjoint_paths_examples():
 def test_disjoint_paths_error_names_the_maximum():
     with pytest.raises(ValueError, match="maximum is 2"):
         disjoint_paths(cycle_network(5), 1, 3, 3)
+
+
+def test_disjoint_paths_rejects_a_negative_k():
+    # a negative k once sliced the path list: -1 gave 3 of these 4 paths
+    with pytest.raises(ValueError, match="requested -1 disjoint paths"):
+        disjoint_paths(make_two_clique_network(4, 4), 1, 5, -1)
+
+
+def test_local_connectivity_rejects_a_missing_vertex():
+    with pytest.raises(ValueError, match="vertex 99 outside 1..12"):
+        local_connectivity(make_two_clique_network(4, 4), 1, 99)
+
+
+def test_source_separation_rejects_a_missing_vertex():
+    with pytest.raises(ValueError, match="vertex 99 outside 1..12"):
+        source_separation(make_two_clique_network(4, 4), 99)
 
 
 def test_disjoint_paths_deterministic():
@@ -294,6 +310,72 @@ def test_max_flow_leaves_no_passage_without_edges():
     assert source_separation(g, 1)[1] == (3, frozenset({2, 4, 7}), 3)
 
 
+# --- the integer-encoded search against the tuple-encoded reference ----------
+
+
+def _encoded(reach):
+    return None if reach is None else {2 * v + (side == "out") for side, v in reach}
+
+
+def _assert_flows_match_reference(g, ends=None):
+    """Each ordered pair, or each with an endpoint in `ends`: the flow at
+    limits None/1/2/3 leaves the reference's count, passages, edge units
+    and reachable set, and `_capped_count` is min(cap, reference count) for
+    caps 0..8. A flow limited to L <= count is the reference's state after L
+    augmentations, and one limited to count + 1 is the maximum flow; it runs
+    before the uncapped flow, so a search that finds a path too many fails
+    here instead of augmenting for ever. Other limits above count, and caps
+    above count + 1, run the same augmentations as one checked here, so they
+    are skipped."""
+    for s in g.vertices:
+        for t in g.vertices:
+            if s == t or ends is not None and s not in ends and t not in ends:
+                continue
+            through, edge_flow = set(), set()
+            states = [(set(), set())]
+            while (reach := reference_augment(g, s, t, through, edge_flow)) is None:
+                states.append((set(through), set(edge_flow)))
+            count = len(states) - 1
+            for limit in [L for L in (1, 2, 3) if L <= count] + [count + 1, None]:
+                if limit is not None and limit <= count:
+                    expected = (limit, *states[limit], None)
+                else:
+                    expected = (count, through, edge_flow, _encoded(reach))
+                got = graphs._max_disjoint_flow(g, s, t, limit)
+                got = got[:3] + (None if got[3] is None else set(got[3]),)
+                assert got == expected, (g.edges(), s, t, limit)
+            for cap in range(min(8, count + 1) + 1):
+                assert graphs._capped_count(g, s, t, cap) == min(cap, count), (
+                    g.edges(), s, t, cap)
+
+
+def test_max_flow_matches_reference_on_random_and_analyze_graphs():
+    rng = random.Random(15)
+    for _ in range(20):
+        n = rng.randint(4, 14)
+        p = rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])
+        _assert_flows_match_reference(Network(n, [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+        ]))
+    # the analyze workload's graphs, relabelled; past 20 vertices, every
+    # pair through three seeded vertices
+    for g in (make_two_clique_network(8, 4), make_two_clique_network(10, 8),
+              make_two_clique_network(12, 10), make_two_clique_network(20, 12),
+              complete_minus_matching(19, 9), cycle_network(40)):
+        g = _relabelled(g, rng)
+        _assert_flows_match_reference(g, None if g.n <= 20 else rng.sample(range(1, g.n + 1), 3))
+
+
+def test_max_flow_matches_reference_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    for G in graph_atlas_g():
+        if G.number_of_nodes() >= 2 and nx.is_connected(G):
+            _assert_flows_match_reference(
+                Network(G.number_of_nodes(), [(a + 1, b + 1) for a, b in G.edges()]))
+
+
 def _flood_plans_text():
     g = make_two_clique_network(5, 9)
     scheme = flood_scheme(g, 1, 9)
@@ -348,7 +430,7 @@ def test_certificate_check_survives_optimized_mode():
         "from mobyz import graphs\n"
         "augment = graphs._augment\n"
         "graphs._augment = lambda g, s, t, through, edge_flow: (\n"
-        "    augment(g, s, t, through, edge_flow) and {('out', s)})\n"
+        "    augment(g, s, t, through, edge_flow) and {2 * s + 1})\n"
         "try:\n"
         "    graphs.source_separation(graphs.make_two_clique_network(4, 4), 1)\n"
         "except RuntimeError:\n"
