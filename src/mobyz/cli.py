@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import adversary, comms, graphs, sim
 from .core import MANY, PairMessage, parse_value
+from .protocol import ProtocolParams
 
 
 class ScenarioError(Exception):
@@ -165,30 +166,44 @@ def _build_pair(kind: str, keys: dict, network, m: int, rounds):
     return pair
 
 
+def _build_lifted(protocol: list, network, m: int, alphabet: int):
+    """The lifted protocol of `protocol = lifted NAME [KAPPA]`, with the plan
+    of every transfer built, so that a network the scheme cannot serve is a
+    scenario error here and not a failure in the middle of a run."""
+    if len(protocol) < 2:
+        raise ScenarioError("protocol: lifted needs a scheme name")
+    try:
+        if protocol[1] == "two-round":
+            scheme = comms.two_round_scheme(network, m)
+        elif protocol[1] == "flood":
+            if len(protocol) < 3:
+                raise ScenarioError("protocol: lifted flood needs kappa")
+            try:
+                kappa = int(protocol[2])
+            except ValueError:
+                raise ScenarioError(f"protocol: kappa is not an integer: {protocol[2]!r}") from None
+            scheme = comms.flood_scheme(network, m, kappa)
+        else:
+            raise ScenarioError(f"protocol: unknown scheme {protocol[1]!r}")
+    except ValueError as e:
+        raise ScenarioError(f"protocol: {e}") from None
+    lifted = comms.lift(scheme, ProtocolParams(n=network.n, m=m, alphabet_size=alphabet))
+    try:
+        for u in network.vertices:
+            for v in network.vertices:
+                scheme.plan(u, v)
+    except ValueError as e:
+        raise ScenarioError(f"protocol: {e}") from None
+    return lifted
+
+
 def _build_single(keys: dict, network, m: int, rounds):
     source_value = _symbol(keys, "source-value", "1")
     protocol = keys.get("protocol", "bare").split()
     alphabet = _parsed("alphabet", keys.get("alphabet", "2"))
-    lifted = None
     mode = protocol[0]
     try:
-        if mode == "lifted":
-            if len(protocol) < 2:
-                raise ScenarioError("protocol: lifted needs a scheme name")
-            if protocol[1] == "two-round":
-                scheme = comms.two_round_scheme(network, m)
-            elif protocol[1] == "flood":
-                if len(protocol) < 3:
-                    raise ScenarioError("protocol: lifted flood needs kappa")
-                scheme = comms.flood_scheme(network, m, int(protocol[2]))
-            else:
-                raise ScenarioError(f"protocol: unknown scheme {protocol[1]!r}")
-            from .protocol import ProtocolParams
-
-            lifted = comms.lift(
-                scheme, ProtocolParams(n=network.n, m=m, alphabet_size=alphabet)
-            )
-            mode = "lifted"
+        lifted = _build_lifted(protocol, network, m, alphabet) if mode == "lifted" else None
         return sim.Scenario(
             network=network,
             m=m,

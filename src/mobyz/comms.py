@@ -11,10 +11,9 @@ take a majority vote over the copies that arrive.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
@@ -146,20 +145,33 @@ def flood_scheme(g: Network, m: int, kappa: int) -> CommScheme:
     return CommScheme(kind="flood", network=g, m=m, T=T, K=T - 1, kappa=kappa)
 
 
-def _decode(copies: list):
+@cache
+def _sort_key(payload) -> tuple:
+    """`payload.sort_key()`, once per interned payload."""
+    return payload.sort_key()
+
+
+def _decode(copies: list, tie_break: bool = True):
     """(the strict-majority value among copies, whether there was none).
-    A strict majority is unique, so the most frequent value is returned as
-    soon as its count is one. Without one it falls back to the canonically
-    smallest most-frequent value; that needs a broken endpoint window, so
-    the engine counts it."""
+    A strict majority is unique, and usually the first copy's, so that one
+    is counted first. Without one it falls back to the canonically smallest
+    most-frequent value, or to None when `tie_break` is false (a decode
+    nobody reads, kept only to be counted); that needs a broken endpoint
+    window, so the engine counts it."""
     if not copies:
         raise ValueError("cannot decode an empty copy list")
-    counts = Counter(copies)
-    winner = max(counts, key=counts.__getitem__)
-    top = counts[winner]
+    first = copies[0]
+    if 2 * copies.count(first) > len(copies):
+        return first, False
+    counts: dict = {}
+    for x in copies:
+        counts[x] = counts.get(x, 0) + 1
+    top = max(counts.values())
     if 2 * top > len(copies):
-        return winner, False
-    return min((x for x, c in counts.items() if c == top), key=lambda x: x.sort_key()), True
+        return next(x for x, c in counts.items() if c == top), False
+    if not tie_break:
+        return None, True
+    return min((x for x, c in counts.items() if c == top), key=_sort_key), True
 
 
 def _honest_majority(ids, overrides) -> bool:
@@ -258,13 +270,14 @@ class TransferRun:
 # engine's loop and the order in which it draws lies are described in the
 # `sim` module docstring. `payload(i)` is what sender i injects when asked,
 # and `corrupt(v, k)` gives the k payloads controlled v writes to its next
-# k copies, in copy order. decode() returns each sender's payload at decode
-# time, the (sender, receiver) transfers that decode to anything else (never
-# the self transfer (i, i)), and how many decodes fell back. Values are
-# interned, so "anything else" is an identity test. The tests keep a
-# reference with the same interface, one marching `TransferRun` per ordered
-# pair that asks for one lie at a time, and put it in the engine's place to
-# compare full traces byte for byte.
+# k copies, in copy order. decode(honest) returns each sender's payload at
+# decode time, the (sender, receiver) transfers into the `honest` receivers
+# that decode to anything else (never the self transfer (i, i)), and how
+# many decodes fell back, into any receiver. Values are interned, so
+# "anything else" is an identity test. The tests keep a reference with the
+# same interface, one marching `TransferRun` per ordered pair that asks for
+# one lie at a time and decodes every pair, and put it in the engine's place
+# to compare full traces byte for byte.
 
 
 @dataclass(frozen=True)
@@ -276,17 +289,20 @@ class CopyIndex:
     `touches[(t, v)]` lists the (order, copy, v) events of round t in which v
     holds a copy that moves (order 2·copy) or receives one (2·copy + 1);
     copies still in flight after round T are dropped, as TransferRun drops
-    them. `moves[(t, u)]` lists ((holder, next hop), copy) for the copies of
-    sender u that move in round t, in copy order. `arrivals[(u, v)]` lists
+    them. `visits[(t, v)]` is `_visit` of `touches[(t, v)]`, and
+    `stored[(v, t)]` the copies v holds after round t, by sender and then
+    arrival. `moves[(t, u)]` lists ((holder, next hop), copy) for the copies
+    of sender u that move in round t, in copy order. `arrivals[(u, v)]` lists
     (arrival round, copy) for the copies that reach v by round T, in arrival
     order, and `ids[(u, v)]` just their copies; `silent` lists the transfers
-    between distinct processors none of whose copies do. `visits[(t, v)]`
-    is `_visit` of `touches[(t, v)]`. Full traces also read `names` and
-    `held`, built on their first use.
+    between distinct processors none of whose copies do. `footprint` splits
+    the transfers one controlled processor can override. Full traces also
+    read `names` and `held`, built on their first use.
     """
 
     touches: dict
     visits: dict
+    stored: dict
     moves: dict
     transfer: tuple  # copy -> (sender, receiver)
     inject: tuple  # copy -> injection round
@@ -294,6 +310,34 @@ class CopyIndex:
     arrivals: dict
     ids: dict
     silent: tuple
+    _footprints: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def footprint(self, v: int, rounds: tuple) -> tuple:
+        """(heavy, light) for v controlled alone in `rounds` of a logical
+        round, in which it overrides its visits' copies and its stored ones:
+        the transfers of which it overrides at least half of the arrived
+        copies, and those of which it overrides fewer, but some. Built on
+        first use, then kept."""
+        split = self._footprints.get((v, rounds))
+        if split is None:
+            touched = set()
+            for t in rounds:
+                touched.update(self.visits.get((t, v), ((), ()))[0], self.stored[(v, t)])
+            counts: dict = {}
+            for c in touched & self.arrived:
+                key = self.transfer[c]
+                counts[key] = counts.get(key, 0) + 1
+            ids = self.ids
+            split = self._footprints[(v, rounds)] = (
+                frozenset(key for key, k in counts.items() if 2 * k >= len(ids[key])),
+                frozenset(key for key, k in counts.items() if 2 * k < len(ids[key])),
+            )
+        return split
+
+    @cached_property
+    def arrived(self) -> frozenset:
+        """The copies that reach their receiver by round T."""
+        return frozenset(c for copies in self.ids.values() for c in copies)
 
     @cached_property
     def names(self) -> tuple:
@@ -347,12 +391,16 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
                     if receiver == v:
                         arrived.append((t, c))
             arrivals[(u, v)] = tuple(sorted(arrived))
-    transfer = tuple(transfer)
     return CopyIndex(
         touches={key: tuple(events) for key, events in touches.items()},
-        visits={key: _visit(events, transfer) for key, events in touches.items()},
+        visits={key: _visit(events) for key, events in touches.items()},
+        stored={
+            (v, t): tuple(c for u in vertices for arrival, c in arrivals[(u, v)] if arrival <= t)
+            for v in vertices
+            for t in range(1, scheme.T + 1)
+        },
         moves={key: tuple(moved) for key, moved in moves.items()},
-        transfer=transfer,
+        transfer=tuple(transfer),
         inject=tuple(inject),
         route=tuple(route_ids),
         arrivals=arrivals,
@@ -361,15 +409,15 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
     )
 
 
-def _visit(events, transfer) -> tuple:
-    """(copies, received, transfers) of a run of one processor's touch
-    events: their copies in event order, the ones it receives, and the set
-    of their transfers. A run holds each copy at most once, as a copy makes
-    one hop per round, between two distinct processors."""
+def _visit(events) -> tuple:
+    """(copies, received) of a run of one processor's touch events: their
+    copies in event order, and the ones it receives. A run holds each copy
+    at most once, as a copy makes one hop per round, between two distinct
+    processors."""
     events = tuple(events)
     copies = tuple(c for _order, c, _v in events)
     received = tuple(c for order, c, _v in events if order & 1)
-    return copies, received, frozenset(map(transfer.__getitem__, copies))
+    return copies, received
 
 
 class SparseTransfers:
@@ -380,16 +428,31 @@ class SparseTransfers:
     injection round, which differs from the sender's payload when the
     logical round began only for a sender controlled (and so possibly
     rewritten) during it; those senders' payloads are recorded each round.
-    When all of a transfer's honest copies carry one payload (its sender is
-    untouched, or kept one payload through every round recorded) and fewer
-    than half of its arrived copies have an override, the honest ones hold
-    a strict majority, so it decodes to that payload without listing its
-    copies. Only the other transfers, of senders whose payload changed or
-    with more overrides, are decoded. Full traces also read `hops` and
-    `buffers()`, rendered on demand from the index (its `names` and `held`,
-    which only they build): a copy's value is its override if it has one,
-    else its honest payload, and it is tainted exactly when it has an
-    override.
+    While fewer than half of a transfer's arrived copies have an override
+    and all its honest copies carry one payload (its sender is untouched,
+    or kept one payload through every round recorded), the honest ones hold
+    a strict majority, so it decodes to that payload without a fallback.
+
+    decode() bounds the overrides by who wrote them. A processor that alone
+    was controlled in some rounds overrode only its `CopyIndex.footprint`
+    for them, in which a transfer is heavy or light. So a transfer is dirty
+    only when it is heavy in one footprint, light in two, or touched in a
+    round with several controlled processors (or in logical round 1, whose
+    one sender the footprints do not cover). A transfer light in one
+    footprint and untouched otherwise has fewer than half of its arrived
+    copies overridden. `pending` is what decode() looks at: the dirty
+    transfers, every transfer of a sender whose payload changed during the
+    logical round, and the silent ones (an empty copy list still raises in
+    `_decode`). A pending transfer whose honest copies carry one payload
+    and hold a strict majority (`_honest_majority`) decodes to that payload
+    without listing its copies; the others are counted. One into a receiver
+    that is not honest at decode time, whose pair no rule reads, is counted
+    only to see whether it falls back, without the tie-break.
+
+    Full traces also read `hops` and `buffers()`, rendered on demand from
+    the index (its `names` and `held`, which only they build): a copy's
+    value is its override if it has one, else its honest payload, and it is
+    tainted exactly when it has an override.
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
@@ -402,16 +465,16 @@ class SparseTransfers:
         self.t = 0
         self.sent: dict = {}  # touched sender -> its payload in rounds 1..t
         self.overrides: dict = {}  # copy -> the last value a controlled holder gave it
-        self.dirty: set = set()  # transfers with an override
+        self.alone: dict = {}  # processor -> the rounds it alone was controlled in
+        self.dirty: set = set()  # transfers touched in rounds no footprint covers
         self.received: dict = {}  # copy -> its override (or None) before round t's receipt
 
-    def _corrupt(self, v: int, copies, received, transfers, corrupt) -> None:
+    def _corrupt(self, v: int, copies, received, corrupt) -> None:
         """Override `copies`, a run of v's events or its stored copies, with
         one batch of lies; `received` of them are v's receipts this round."""
         overrides = self.overrides
         self.received.update(zip(received, map(overrides.get, received)))
         overrides.update(zip(copies, corrupt(v, len(copies))))
-        self.dirty.update(transfers)
 
     def _honest(self, c: int):
         """The payload copy c's sender injected into it."""
@@ -434,6 +497,7 @@ class SparseTransfers:
         index = self.index
         if len(controlled) == 1 and self.every_sender:
             v = next(iter(controlled))
+            self.alone.setdefault(v, []).append(t)
             visit = index.visits.get((t, v))
             if visit is not None:
                 self._corrupt(v, *visit, corrupt)
@@ -443,34 +507,55 @@ class SparseTransfers:
         if not self.every_sender:
             events = [e for e in events if transfer[e[1]][0] in senders]
         for v, run in groupby(events, itemgetter(2)):
-            self._corrupt(v, *_visit(run, transfer), corrupt)
+            copies, received = _visit(run)
+            self._corrupt(v, copies, received, corrupt)
+            self.dirty.update(map(transfer.__getitem__, copies))
 
     def receiver_controlled(self, pid: int, corrupt) -> None:
         """Controlled pid's stored copies, by sender and then arrival: one
         batch."""
-        arrivals, t = self.index.arrivals, self.t
-        copies = [c for i in self.senders for arrival, c in arrivals[(i, pid)] if arrival <= t]
+        index, t = self.index, self.t
+        if self.every_sender:
+            copies = index.stored[(pid, t)]
+        else:
+            copies = [c for i in self.senders for arrival, c in index.arrivals[(i, pid)]
+                      if arrival <= t]
         if copies:
-            transfers = map(self.index.transfer.__getitem__, copies)
-            self._corrupt(pid, copies, (), transfers, corrupt)
+            self._corrupt(pid, copies, (), corrupt)
+            if t not in self.alone.get(pid, ()):
+                self.dirty.update(map(index.transfer.__getitem__, copies))
 
-    def decode(self):
-        """(payload per sender, decoded payload per transfer that decodes to
-        anything else, decodes that fell back)."""
-        ids, inject, overrides = self.index.ids, self.index.inject, self.overrides
+    def decode(self, honest):
+        """(payload per sender, decoded payload per transfer into an `honest`
+        receiver that decodes to anything else, decodes that fell back)."""
+        index, overrides = self.index, self.overrides
+        ids, inject = index.ids, index.inject
         payloads = {i: self.payload(i) for i in self.senders}
-        pending = set(self.dirty)
-        for i in self.sent:
-            pending.update((i, j) for j in self.vertices if j != i)
-        pending.update(key for key in self.index.silent if key[0] in payloads)
-        kept = {i: sent[0] for i, sent in self.sent.items() if sent.count(sent[0]) == len(sent)}
-        exceptions, fallbacks = {}, 0
+        readers = set(honest)
+        pending, seen = set(self.dirty), set()  # seen: light in a footprint so far
+        for v, rounds in self.alone.items():
+            heavy, light = index.footprint(v, tuple(rounds))
+            pending |= heavy
+            pending |= light & seen
+            seen |= light
+        pending.update(key for key in index.silent if key[0] in payloads)
+        exceptions, fallbacks, kept = {}, 0, {}
+        for i, sent in self.sent.items():
+            if sent.count(sent[0]) < len(sent):
+                pending.update((i, j) for j in self.vertices if j != i)
+                continue
+            kept[i] = sent[0]
+            if sent[0] is not payloads[i]:
+                exceptions.update(
+                    ((i, j), sent[0]) for j in readers if j != i and (i, j) not in pending
+                )
         for key in pending:  # decodes are pure, so their order is immaterial
             now, sent = payloads[key[0]], self.sent.get(key[0])
             copies = ids[key]
+            read = key[1] in readers
             single = now if sent is None else kept.get(key[0])
             if single is not None and _honest_majority(copies, overrides):
-                if single is not now:
+                if single is not now and read:
                     exceptions[key] = single
                 continue
             values = [
@@ -478,9 +563,9 @@ class SparseTransfers:
                 else now if sent is None else sent[inject[c] - 1]
                 for c in copies
             ]
-            value, fell_back = _decode(values)
+            value, fell_back = _decode(values, tie_break=read)
             fallbacks += fell_back
-            if value is not now:
+            if value is not now and read:
                 exceptions[key] = value
         return payloads, exceptions, fallbacks
 

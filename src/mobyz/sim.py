@@ -24,8 +24,18 @@ back-end:
   direct delivery (bare, relay) — each message goes straight along its edge.
   `comms.SparseTransfers` (lifted) — visits only the copies a controlled
       processor holds or receives (from the scheme's cached `CopyIndex`)
-      and treats every other copy as honest; for a full trace it also
-      renders each round's hops and collected buffers from the index.
+      and treats every other copy as honest. Its decode looks only at the
+      transfers that may decode to something other than their sender's
+      payload: those whose sender's payload changed during the logical
+      round, and those of which at least half of the arrived copies may
+      have been overridden. A processor that alone was controlled in some
+      rounds overrides only its footprint for them, so a transfer that one
+      footprint touches lightly (fewer than half of its arrived copies) and
+      no other touches keeps an honest strict majority and is not decoded.
+      A transfer into a receiver controlled in round T, whose pair no rule
+      reads, is decoded only to count a fallback (`Trace.decode_fallbacks`).
+      For a full trace it also renders each round's hops and collected
+      buffers from the index.
 In a bare or lifted pair round every receiver gets the same pair from most
 senders, so each back-end gives each sender's payload and only the
 exceptions, by sender and then receiver: the pairs forged by controlled
@@ -468,14 +478,13 @@ class _LiftedDelivery:
         """(what each honest receiver's rule reads, decodes that fell back):
         the source's decoded value in round 1, later `_count_pairs` of the
         n decoded pairs."""
-        payloads, exceptions, fallbacks = self.transfers.decode()
+        payloads, exceptions, fallbacks = self.transfers.decode(honest)
         if self.r == 1:
             source = payloads[SOURCE]
             return {p: exceptions.get((SOURCE, p), source) for p in honest}, fallbacks
-        receivers, by_sender = set(honest), {}
+        by_sender: dict = {}
         for (i, p), value in sorted(exceptions.items()):  # keys are unique: no value compared
-            if p in receivers:
-                by_sender.setdefault(i, {})[p] = value
+            by_sender.setdefault(i, {})[p] = value
         return _count_pairs(payloads, by_sender, honest, self.r, self.params), fallbacks
 
     def shown(self) -> tuple:

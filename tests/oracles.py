@@ -1,15 +1,16 @@
 """Brute-force oracles, independent of the implementations under test: the
 per-round protocol rules, the flow-based graph queries, the reference
-max-flow search, the lifted transfer back-end and the trace writer; also
-the honest rule's adapter for an explicit list of received pairs, which
-only tests call."""
+max-flow search, the lifted transfer back-end, a decode of every transfer
+from the lifted back-end's state, and the trace writer; also the honest
+rule's adapter for an explicit list of received pairs, which only tests
+call."""
 
 import itertools
 import json
 from collections import Counter
 
 from mobyz import EMPTY, MANY, Network, PairMessage, Value
-from mobyz.comms import CommScheme, TransferRun
+from mobyz.comms import CommScheme, TransferRun, _decode
 from mobyz.protocol import histogram_update, pivot_index
 
 
@@ -221,9 +222,11 @@ class TransferRuns:
         for i in self.senders:
             self.runs[(i, pid)].receiver_controlled(_one_by_one(corrupt))
 
-    def decode(self):
+    def decode(self, honest):
         """(payload per sender, decoded payload per transfer that decodes to
-        anything else, decodes that fell back)."""
+        anything else, decodes that fell back). It decodes every pair, into
+        the `honest` receivers or not, so it reports at least the engine's
+        exceptions and the fallbacks of every decode."""
         payloads = {i: self.payload(i) for i in self.senders}
         exceptions, fallbacks = {}, 0
         for key, run in self.runs.items():
@@ -243,6 +246,27 @@ class TransferRuns:
                     (f"{i}->{j}", route_id, arrival, str(value), tainted)
                 )
         return {p: tuple(sorted(copies)) for p, copies in held.items()}
+
+
+def decode_every_pair(transfers, honest):
+    """What `comms.SparseTransfers.decode(honest)` must return in the state
+    `transfers` is in: every transfer between distinct processors decoded
+    from all of its arrived copies, none skipped, each copy its override if
+    it has one and else the payload its sender injected. Exceptions go only
+    to the `honest` receivers; fallbacks count into every receiver."""
+    payloads = {i: transfers.payload(i) for i in transfers.senders}
+    overrides = transfers.overrides
+    exceptions, fallbacks = {}, 0
+    for (i, j), copies in transfers.index.ids.items():
+        if i == j or i not in payloads:
+            continue
+        value, fell_back = _decode(
+            [overrides[c] if c in overrides else transfers._honest(c) for c in copies]
+        )
+        fallbacks += fell_back
+        if value is not payloads[i] and j in honest:
+            exceptions[(i, j)] = value
+    return payloads, exceptions, fallbacks
 
 
 def _one_by_one(corrupt):

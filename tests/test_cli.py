@@ -435,11 +435,19 @@ def test_run_five_set_pair_swapped(tmp_path, capsys):
     (FIVE_SET + "m = 1\n", "m: given twice, on lines 2 and 4"),
     ("network = inline\nm = 0\n[edges]\n1 2\n[edges]\n2 3\n",
      "[edges]: given twice, on lines 3 and 5"),
+    # every transfer plan is built when the file is read, not mid-run
+    ("network = cycle 13\nm = 1\nprotocol = lifted two-round\n",
+     "protocol: pair (1,2) has 0 common neighbors, needs 3"),
+    ("network = two-clique 8 9\nm = 1\nprotocol = lifted flood 10\n",
+     "protocol: requested 10 disjoint paths between 1 and 9; maximum is 9"),
+    ("network = two-clique 8 9\nm = 1\nprotocol = lifted flood x\n",
+     "protocol: kappa is not an integer: 'x'"),
 ], ids=[
     "typo", "cut-in-single-run", "strategy-in-pair", "seed-in-pair",
     "fake-value-in-cut-set", "swap-in-cut-set", "swap-not-boolean", "unknown-pair",
     "five-set-on-cycle", "perturb-one-id", "perturb-three-ids", "perturb-round-too-late",
     "perturb-no-such-sender", "repeated-key", "repeated-key-in-pair", "repeated-edges",
+    "two-round-without-common-neighbours", "flood-kappa-above-connectivity", "flood-kappa-not-int",
 ])
 def test_run_rejects_what_the_file_kind_does_not_read(tmp_path, capsys, text, message):
     scenario = write(tmp_path, "s.txt", text)

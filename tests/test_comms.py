@@ -29,6 +29,7 @@ from mobyz import (
     two_round_scheme,
 )
 from mobyz.comms import SparseTransfers, _decode, _honest_majority
+from oracles import decode_every_pair
 
 ZERO, ONE = Value.plain(0), Value.plain(1)
 
@@ -274,8 +275,9 @@ def test_decode_shortcut_agrees_with_the_full_count(data):
 @given(data=st.data())
 def test_sparse_decode_equals_counting_every_copy(scheme, data):
     """One lifted logical round of random control, corruption and rewrites:
-    `SparseTransfers.decode` must give what counting every arrived copy of
-    every transfer gives, exceptions and fallbacks alike."""
+    `SparseTransfers.decode(honest)` must give what counting every arrived
+    copy of every transfer gives: the exceptions into the honest receivers,
+    and the fallbacks into every receiver."""
     g = scheme.network
     payloads = {i: data.draw(st.sampled_from(PAIRS)) for i in g.vertices}
     transfers = SparseTransfers(scheme, list(g.vertices), payloads.__getitem__)
@@ -293,17 +295,8 @@ def test_sparse_decode_equals_counting_every_copy(scheme, data):
     event(f"touched senders that kept their payload: "
           f"{sum(s.count(s[0]) == len(s) for s in transfers.sent.values())}")
 
-    exceptions, fallbacks = {}, 0
-    for (i, j), copies in transfers.index.arrivals.items():
-        if not copies:
-            continue
-        values = [transfers.overrides[c] if c in transfers.overrides else transfers._honest(c)
-                  for _arrival, c in copies]
-        value, fell_back = _decode(values)
-        fallbacks += fell_back
-        if value is not payloads[i]:
-            exceptions[(i, j)] = value
-    assert transfers.decode() == (payloads, exceptions, fallbacks)
+    honest = sorted(data.draw(st.sets(st.integers(1, g.n)), label="honest"))
+    assert transfers.decode(honest) == decode_every_pair(transfers, honest)
 
 
 def test_decode_shortcut_boundary():

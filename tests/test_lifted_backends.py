@@ -14,7 +14,10 @@ the reference's order. Bare and relay rounds build the per-link `sent`
 table only for full traces. The same scenario at both levels must control
 the same processors, reach the same states, count the same decode
 fallbacks and make the same `forge`, `rewrite` and `corrupt_value` calls in
-the same order.
+the same order. Every decode of the back-end, which skips the transfers
+that cannot decode otherwise, must equal decoding every ordered pair in the
+same state, under random schedules and under pinned ones that reach each
+of its paths.
 """
 
 import dataclasses
@@ -43,7 +46,7 @@ from mobyz import (
 )
 from mobyz import sim
 from mobyz.protocol import ProtocolParams
-from oracles import TransferRuns
+from oracles import TransferRuns, decode_every_pair
 
 ONE = Value.plain(1)
 
@@ -80,13 +83,25 @@ CASES = {
     ),
 }
 LIFTED = ["flood-two-clique-5-9-m1", "two-round-cmm-13-6-m1", "two-round-complete-13-m2"]
+# T = 4, K = 3 (n = 25): a sender injects 9 of a non-adjacent pair's 27
+# copies in each of rounds 1-3, and its receiver holds the 9 of round 1 after
+# round 2. So the sender in two rounds, or the receiver in round 2 and the
+# sender in round 3, override more than half, and each alone fewer. On the
+# LIFTED shapes no two footprints together reach half. Only the decode tests
+# run it: its full traces are slow.
+FOUR_ROUNDS = "flood-two-clique-8-9-m1"
+DECODE_ONLY = {
+    FOUR_ROUNDS: lambda: _lifted(
+        make_two_clique_network(8, 9), 1, lambda g, m: flood_scheme(g, m, 9)
+    ),
+}
 
 
 @functools.cache
 def _base(case) -> Scenario:
     """One scenario per case; lifted runs share its scheme, so plans and the
     copy index are built once."""
-    return CASES[case]()
+    return (CASES.get(case) or DECODE_ONLY[case])()
 
 
 class Logged(Strategy):
@@ -278,3 +293,119 @@ def test_scheduled_per_copy_lies_match_the_oracle(case, data, seed):
     schedule = data.draw(schedules(case))
     assert_levels_agree(case, lambda: schedule, seed, wrap=scheduled_counted_lies)
     assert_matches_oracle(case, lambda: schedule, seed, wrap=scheduled_counted_lies)
+
+
+# --- the decode's pending set against decoding every ordered pair ------------
+
+
+class CheckedTransfers(sim.SparseTransfers):
+    """The engine's back-end, each decode checked against
+    `oracles.decode_every_pair` in the same state; `log` keeps, per decode,
+    its transfers touched in a round with several controlled processors."""
+
+    log: list = []
+
+    def decode(self, honest):
+        got = super().decode(honest)
+        assert got == decode_every_pair(self, honest)
+        CheckedTransfers.log.append(set(self.dirty))
+        return got
+
+
+def checked_run(scenario) -> list:
+    """Run `scenario` at states level with every lifted decode checked;
+    return the log of the checked decodes."""
+    CheckedTransfers.log = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "SparseTransfers", CheckedTransfers)
+        run(dataclasses.replace(scenario, trace_level="states"))
+    assert CheckedTransfers.log
+    return CheckedTransfers.log
+
+
+class KeptState(Strategy):
+    """Random lies; a rewrite leaves the state as it was, so a controlled
+    sender keeps its payload through the logical round and its transfers
+    decode by the same rule as an untouched sender's."""
+
+    def rewrite(self, ctx, pid):
+        return ctx.states[pid]
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@pytest.mark.parametrize("inner", [Strategy, KeptState], ids=["rewritten", "kept"])
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_decode_matches_decoding_every_pair(case, inner, data, seed):
+    """Seeded random schedules (m = 1 on the flood and cmm cases, m = 2 on
+    complete 13): the exceptions into the honest receivers and the
+    fallbacks into every receiver are those of decoding every pair."""
+    schedule = data.draw(schedules(case))
+    checked_run(dataclasses.replace(
+        _base(case), strategy=ScheduledControl(schedule, inner()), seed=seed
+    ))
+
+
+@pytest.mark.parametrize("case", LIFTED)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decode_under_random_control_matches_decoding_every_pair(case, seed):
+    checked_run(dataclasses.replace(_base(case), strategy=RandomizedControl(), seed=seed))
+
+
+
+def _physical(case, lr, t) -> int:
+    """Physical round t of logical round lr."""
+    return (lr - 1) * _base(case).T + t
+
+
+def _light_alone_heavy_together(case, transfer, *controls) -> bool:
+    """Whether `transfer` is light in the footprint of each (pid, rounds)
+    of `controls`, and they override at least half of its arrived copies
+    together."""
+    index = _base(case).lifted.scheme.copy_index()
+    touched = set()
+    for pid, rounds in controls:
+        if transfer not in index.footprint(pid, rounds)[1]:
+            return False
+        for t in rounds:
+            touched.update(index.visits.get((t, pid), ((), ()))[0], index.stored[(pid, t)])
+    arrived = index.ids[transfer]
+    return 2 * len(touched.intersection(arrived)) >= len(arrived)
+
+
+PINNED = {
+    # one processor in consecutive physical rounds of a pair round
+    "consecutive": (
+        FOUR_ROUNDS, {_physical(FOUR_ROUNDS, 2, 1): {1}, _physical(FOUR_ROUNDS, 2, 2): {1}},
+        lambda: _light_alone_heavy_together(FOUR_ROUNDS, (1, 9), (1, (1,)), (1, (2,))),
+    ),
+    # the receiver and the sender of one transfer in different rounds
+    "two-footprints": (
+        FOUR_ROUNDS, {_physical(FOUR_ROUNDS, 2, 2): {1}, _physical(FOUR_ROUNDS, 2, 3): {9}},
+        lambda: _light_alone_heavy_together(FOUR_ROUNDS, (9, 1), (1, (2,)), (9, (3,))),
+    ),
+    # a receiver controlled in round T: its pairs are read by nobody
+    "receiver-in-round-T": (
+        "two-round-cmm-13-6-m1", {_physical("two-round-cmm-13-6-m1", 3, 2): {5}}, None,
+    ),
+    "flood-receiver-in-round-T": (FOUR_ROUNDS, {_physical(FOUR_ROUNDS, 2, 4): {9}}, None),
+    # m = 2: two processors in one round take the events path
+    "events": (
+        "two-round-complete-13-m2",
+        {_physical("two-round-complete-13-m2", 2, 1): {2, 3},
+         _physical("two-round-complete-13-m2", 2, 2): {4}},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pinned_schedules_match_decoding_every_pair(name, seed):
+    case, schedule, forced = PINNED[name]
+    if forced is not None:
+        assert forced()  # the schedule reaches the path it is named for
+    log = checked_run(dataclasses.replace(
+        _base(case), strategy=ScheduledControl(schedule, KeptState()), seed=seed
+    ))
+    assert any(log) == (name == "events")  # only it has a round no footprint covers
