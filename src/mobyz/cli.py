@@ -33,10 +33,27 @@ GENERATORS = {
 }
 
 
+def _words(key: str, value: str) -> list:
+    """The words of a key's value; an empty value is an error."""
+    words = value.split()
+    if not words:
+        raise ScenarioError(f"{key}: no value given")
+    return words
+
+
+def _no_more(key: str, words: list, used: int) -> None:
+    """Reject the words of a key's value past the first `used`."""
+    if len(words) > used:
+        raise ScenarioError(
+            f"{key}: unexpected {' '.join(words[used:])!r} after {' '.join(words[:used])!r}"
+        )
+
+
 def _build_graph(desc: str, base_dir: Path, inline_edges):
-    parts = desc.split()
+    parts = _words("network", desc)
     kind = parts[0]
     if kind == "inline":
+        _no_more("network", parts, 1)
         if inline_edges is None:
             raise ScenarioError("network: inline requires an [edges] section")
         return graphs.read_edge_list(inline_edges)
@@ -62,9 +79,18 @@ def _parse_ids(text: str):
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+# strategy kind -> the most words its value takes, the kind included
+_STRATEGY_WORDS = {"none": 1, "random": 1, "static": 3, "alternating": 4}
+# static rule -> the number of its ':'-separated parts
+_STATIC_RULE_PARTS = {"random": 1, "constant": 2, "split": 3}
+
+
 def _build_strategy(desc: str, m: int):
-    parts = desc.split()
+    parts = _words("strategy", desc)
     kind = parts[0]
+    if kind not in _STRATEGY_WORDS:
+        raise ScenarioError(f"strategy: unknown kind {kind!r}")
+    _no_more("strategy", parts, _STRATEGY_WORDS[kind])
     try:
         if kind == "none":
             return adversary.NoFaults()
@@ -75,25 +101,25 @@ def _build_strategy(desc: str, m: int):
             rule = ("random",)
             if len(parts) > 2:
                 bits = parts[2].split(":")
-                if bits[0] == "constant":
-                    rule = ("constant", parse_value(bits[1]))
-                elif bits[0] == "split":
-                    rule = ("split", parse_value(bits[1]), parse_value(bits[2]))
-                elif bits[0] == "random":
-                    rule = ("random",)
-                else:
+                if bits[0] not in _STATIC_RULE_PARTS:
                     raise ScenarioError(f"strategy: unknown static rule {bits[0]!r}")
+                if len(bits) != _STATIC_RULE_PARTS[bits[0]]:
+                    raise ScenarioError(
+                        f"strategy: static rule {bits[0]} takes "
+                        f"{_STATIC_RULE_PARTS[bits[0]] - 1} value(s): {parts[2]!r}"
+                    )
+                rule = (bits[0], *map(parse_value, bits[1:]))
             return adversary.StaticControl(members, m, rule)
-        if kind == "alternating":
-            odd = _parse_ids(parts[1])
-            even = _parse_ids(parts[2])
-            fake = parse_value(parts[3].split("=")[1])
-            return adversary.AlternatingControl(odd, even, fake, m)
+        odd = _parse_ids(parts[1])
+        even = _parse_ids(parts[2])
+        name, _, fake = parts[3].partition("=")
+        if name != "fake":
+            raise ScenarioError(f"strategy: alternating needs fake=V, not {parts[3]!r}")
+        return adversary.AlternatingControl(odd, even, parse_value(fake), m)
     except ScenarioError:
         raise
     except (IndexError, ValueError) as e:
         raise ScenarioError(f"strategy: bad arguments for {kind!r}: {e}") from None
-    raise ScenarioError(f"strategy: unknown kind {kind!r}")
 
 
 # The keys each kind of scenario file reads, by its `pair` value (None: a
@@ -174,10 +200,12 @@ def _build_lifted(protocol: list, network, m: int, alphabet: int):
         raise ScenarioError("protocol: lifted needs a scheme name")
     try:
         if protocol[1] == "two-round":
+            _no_more("protocol", protocol, 2)
             scheme = comms.two_round_scheme(network, m)
         elif protocol[1] == "flood":
             if len(protocol) < 3:
                 raise ScenarioError("protocol: lifted flood needs kappa")
+            _no_more("protocol", protocol, 3)
             try:
                 kappa = int(protocol[2])
             except ValueError:
@@ -199,9 +227,13 @@ def _build_lifted(protocol: list, network, m: int, alphabet: int):
 
 def _build_single(keys: dict, network, m: int, rounds):
     source_value = _symbol(keys, "source-value", "1")
-    protocol = keys.get("protocol", "bare").split()
+    protocol = _words("protocol", keys.get("protocol", "bare"))
     alphabet = _parsed("alphabet", keys.get("alphabet", "2"))
     mode = protocol[0]
+    if mode in ("bare", "relay"):
+        _no_more("protocol", protocol, 1)
+    elif mode != "lifted":
+        raise ScenarioError(f"protocol: unknown kind {mode!r}")
     try:
         lifted = _build_lifted(protocol, network, m, alphabet) if mode == "lifted" else None
         return sim.Scenario(

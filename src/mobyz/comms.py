@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -297,7 +297,7 @@ class CopyIndex:
     order, and `ids[(u, v)]` just their copies; `silent` lists the transfers
     between distinct processors none of whose copies do. `footprint` splits
     the transfers one controlled processor can override. Full traces also
-    read `names` and `held`, built on their first use.
+    read `names`, `held` and `hop_rows`, built on their first use.
     """
 
     touches: dict
@@ -311,6 +311,7 @@ class CopyIndex:
     ids: dict
     silent: tuple
     _footprints: dict = field(default_factory=dict, repr=False, compare=False)
+    _hop_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def footprint(self, v: int, rounds: tuple) -> tuple:
         """(heavy, light) for v controlled alone in `rounds` of a logical
@@ -347,19 +348,40 @@ class CopyIndex:
 
     @cached_property
     def held(self) -> dict:
-        """v -> (sender, arrival round, copy) for the copies that reach v by
-        round T, in the order of v's buffer records: by transfer name, then
-        route, then arrival. A copy is the only one of its transfer with its
-        route and arrival, so the order never depends on its value."""
+        """(v, t) -> (copy, sender, head) for the copies that reach v by
+        round t, in the order of v's buffer records: by transfer name, then
+        route, then arrival. A head, (transfer name, route, arrival), is the
+        part of a buffer record that never changes. A copy is the only one
+        of its transfer with its route and arrival, so the order never
+        depends on its value."""
         names, route = self.names, self.route
         entries: dict = {}
         for (u, v), arrived in self.arrivals.items():
             for arrival, c in arrived:
-                entries.setdefault(v, []).append((names[c], route[c], arrival, u, c))
+                entries.setdefault(v, []).append(((names[c], route[c], arrival), u, c))
+        rows = {v: sorted(listed) for v, listed in entries.items()}
         return {
-            v: tuple((u, arrival, c) for _name, _route, arrival, u, c in sorted(listed))
-            for v, listed in entries.items()
+            (v, t): tuple((c, u, head) for head, u, c in rows.get(v, ()) if head[2] <= t)
+            for v, t in self.stored
         }
+
+    def hop_rows(self, t: int, senders: tuple) -> tuple:
+        """(link, ((copy, transfer name, route, sender), ...)) for each link
+        the copies of `senders` move along in round t, in the order a loop
+        over the senders and their `moves` reaches them. Built on first use
+        per (t, senders), then kept."""
+        key = (t, senders)
+        rows = self._hop_rows.get(key)
+        if rows is None:
+            names, route = self.names, self.route
+            links: dict = {}
+            for u in senders:
+                for link, c in self.moves.get((t, u), ()):
+                    links.setdefault(link, []).append((c, names[c], route[c], u))
+            rows = self._hop_rows[key] = tuple(
+                (link, tuple(listed)) for link, listed in links.items()
+            )
+        return rows
 
 
 def _build_copy_index(scheme: CommScheme) -> CopyIndex:
@@ -450,9 +472,13 @@ class SparseTransfers:
     only to see whether it falls back, without the tie-break.
 
     Full traces also read `hops` and `buffers()`, rendered on demand from
-    the index (its `names` and `held`, which only they build): a copy's
-    value is its override if it has one, else its honest payload, and it is
-    tainted exactly when it has an override.
+    the index: a copy's value is its override if it has one, else its
+    honest payload, and it is tainted exactly when it has an override.
+    Everything else of a record is constant for the scheme, so the index
+    keeps it (its `hop_rows` and `held`, which only these two build), and
+    a round pays only for the values: one lookup per copy, in a table of
+    the few copies whose value is not their sender's initial payload. A hop
+    record is the tuple (transfer name, route, value).
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
@@ -475,12 +501,6 @@ class SparseTransfers:
         overrides = self.overrides
         self.received.update(zip(received, map(overrides.get, received)))
         overrides.update(zip(copies, corrupt(v, len(copies))))
-
-    def _honest(self, c: int):
-        """The payload copy c's sender injected into it."""
-        i = self.index.transfer[c][0]
-        sent = self.sent.get(i)
-        return self.initial[i] if sent is None else sent[self.index.inject[c] - 1]
 
     def step(self, t: int, controlled, corrupt) -> None:
         """Round t: one batch of lies per run of consecutive events (in
@@ -572,45 +592,51 @@ class SparseTransfers:
     @property
     def hops(self) -> dict:
         """(holder, next hop) -> the copies it moved in round t, as full
-        traces show them: the value after the holder's corruption and
-        before the receiver's."""
-        names, route, moves = self.index.names, self.index.route, self.index.moves
-        overrides, received, sent = self.overrides, self.received, self.sent
-        hops: dict = {}
-        for i in self.senders:
-            honest = self.initial[i]
-            for link, c in moves.get((self.t, i), ()):
-                value = received[c] if c in received else overrides.get(c)
-                if value is None:
-                    value = honest if i not in sent else self._honest(c)
-                hops.setdefault(link, []).append(
-                    {"transfer": names[c], "route": route[c], "value": value}
-                )
-        return hops
+        traces show them: hop records (transfer name, route, value), with
+        the value after the holder's corruption and before the receiver's."""
+        index, t, initial = self.index, self.t, self.initial
+        shown = dict(self.overrides)  # copy -> its value, where not its sender's initial payload
+        for c, before in self.received.items():
+            if before is None:
+                del shown[c]
+            else:
+                shown[c] = before
+        for i, sent in self.sent.items():  # by injection round
+            for _link, c in index.moves.get((t, i), ()):
+                if c not in shown:
+                    shown[c] = sent[index.inject[c] - 1]
+        return {
+            link: [(name, route, shown.get(c, initial[i])) for c, name, route, i in rows]
+            for link, rows in index.hop_rows(t, tuple(self.senders))
+        }
 
     def buffers(self) -> dict:
         """Each processor's collected copies as trace records, in record
         order: (transfer name, route, arrival, value, tainted)."""
-        names, route, overrides, t = self.index.names, self.index.route, self.overrides, self.t
-        sent, initial = self.sent, self.initial
-        every_sender, senders = self.every_sender, self.senders
-        text: dict = {}  # payload -> its str
+        index, t, initial, overrides = self.index, self.t, self.initial, self.overrides
+        text = {
+            p: str(p)
+            for p in {*overrides.values(), *initial.values(), *chain(*self.sent.values())}
+        }
+        # a record's tail, (value, tainted): by sender, or by copy where
+        # that differs
+        tails = {i: (text[initial[i]], False) for i in self.senders}
+        marks = {c: (text[value], True) for c, value in overrides.items()}
+        for i, sent in self.sent.items():
+            kept = [(text[p], False) for p in sent]  # by injection round
+            for v in self.vertices:
+                for arrival, c in index.arrivals[(i, v)]:
+                    if arrival <= t and c not in marks:
+                        marks[c] = kept[index.inject[c] - 1]
         held: dict = {}
-        for j, copies in self.index.held.items():
-            records = []
-            for i, arrival, c in copies:
-                if arrival > t or not (every_sender or i in senders):
-                    continue
-                value = overrides.get(c)
-                tainted = value is not None
-                if not tainted:
-                    value = initial[i] if i not in sent else self._honest(c)
-                shown = text.get(value)
-                if shown is None:
-                    shown = text[value] = str(value)
-                records.append((names[c], route[c], arrival, shown, tainted))
+        for v in self.vertices:
+            records = tuple([
+                head + marks.get(c, tail)
+                for c, i, head in index.held[(v, t)]
+                if (tail := tails.get(i)) is not None
+            ])
             if records:
-                held[j] = tuple(records)
+                held[v] = records
         return held
 
 

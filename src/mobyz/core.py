@@ -139,6 +139,14 @@ class ProcessorState:
             object.__setattr__(self, "_pair", pair)
             return pair
 
+    def holding(self, buffers: tuple) -> "ProcessorState":
+        """`dataclasses.replace(self, buffers=buffers)`, without its walk
+        over the fields; the cached emission carries over, as the pair is
+        the same."""
+        held = object.__new__(ProcessorState)
+        vars(held).update(vars(self), buffers=buffers)
+        return held
+
     def __getstate__(self) -> dict:
         state = dict(vars(self))
         state.pop("_pair", None)
@@ -159,11 +167,18 @@ class ProcessorState:
 
 @dataclass
 class RoundTrace:
-    """Everything that happened in one (physical) round."""
+    """Everything that happened in one (physical) round.
+
+    `sent` maps each link (sender, receiver) to what crossed it: the
+    payload of a bare or relay round, or in a lifted round the list of hop
+    records (transfer name "i->j", route id, value) of the copies it moved,
+    which a trace's JSON writes as {"route", "transfer", "value"} objects.
+    Full traces only; a states-level trace records none.
+    """
 
     round: int
     controlled: frozenset
-    sent: dict  # (sender, receiver) -> payload, or list of hop payloads
+    sent: dict  # (sender, receiver) -> payload, or a lifted round's hop list
     states_after: dict  # pid -> ProcessorState
 
 
@@ -176,12 +191,17 @@ class _Writer:
     record (README, "File formats"), but is emitted directly; the strings
     it holds are value tokens and `i->j` names, which JSON does not escape.
     Fragments repeat within one call, so one writer per call memoises them:
-    each interned payload's, each state's part but its buffers, and for
-    each key sequence its `"i->j":` or `"p":` key fragments, sorted as
-    strings ("10->2" before "2->3")."""
+    each interned payload's, each hop record's and buffer record's, each
+    state's part but its buffers, and for each key sequence its `"i->j":`
+    or `"p":` key fragments, sorted as strings ("10->2" before "2->3").
+    A record's head, `{"route":r,"transfer":"i->j","value":` or
+    `["i->j",r,a,"`, is built once per (name, route[, arrival]); a record
+    seen before with the same value is one lookup."""
 
     def __init__(self):
         self.payloads: dict = {}  # Value or PairMessage -> its fragment
+        self.records: dict = {}  # hop record or buffer record -> its fragment
+        self.heads: dict = {}  # a record's constant part -> its fragment's head
         self.states: dict = {}  # a state's fields but buffers -> its fragment's tail
         self.orders: dict = {}  # key sequence -> [(key fragment, key)], sorted
 
@@ -195,24 +215,37 @@ class _Writer:
         return order
 
     def payload(self, p) -> str:
-        """A `Value`, a `PairMessage`, or a list of lifted hop records (dicts
-        of a copy's "route", "transfer" and "value"); any other payload is a
+        """A `Value`, a `PairMessage`, or a list of lifted hop records
+        (transfer name, route, value); any other payload is a
         `TypeError`."""
         kind = type(p)
         if kind is list:
-            payloads = self.payloads
-            return "[" + ",".join([
-                '{"route":%d,"transfer":"%s","value":%s}' % (
-                    h["route"], h["transfer"], payloads.get(h["value"]) or self.payload(h["value"])
-                )
-                for h in p
-            ]) + "]"
+            records = self.records
+            return "[" + ",".join([records.get(h) or self._hop(h) for h in p]) + "]"
         if kind is not Value and kind is not PairMessage:
             raise TypeError(f"a trace cannot hold a payload of type {kind.__name__}")
         fragment = self.payloads.get(p)
         if fragment is None:
             fragment = f'"{p}"' if kind is Value else f'["{p.high}","{p.medium}"]'
             self.payloads[p] = fragment
+        return fragment
+
+    def _hop(self, h: tuple) -> str:
+        """A hop record (transfer name, route, value)."""
+        name, route, value = h
+        head = self.heads.get((name, route))
+        if head is None:
+            head = self.heads[(name, route)] = f'{{"route":{route},"transfer":"{name}","value":'
+        fragment = self.records[h] = head + self.payload(value) + "}"
+        return fragment
+
+    def _record(self, b: tuple) -> str:
+        """A buffer record (transfer name, route, arrival, value, tainted)."""
+        name, route, arrival, value, tainted = b
+        head = self.heads.get((name, route, arrival))
+        if head is None:
+            head = self.heads[(name, route, arrival)] = f'["{name}",{route},{arrival},"'
+        fragment = self.records[b] = head + value + ('",true]' if tainted else '",false]')
         return fragment
 
     def state(self, s: ProcessorState) -> str:
@@ -229,9 +262,9 @@ class _Writer:
             )
         if not s.buffers:
             return "{" + tail
+        records = self.records
         return '{"buffers":[' + ",".join([
-            '["%s",%d,%d,"%s",%s]' % (name, route, arrival, value, "true" if tainted else "false")
-            for name, route, arrival, value, tainted in s.buffers
+            records.get(b) or self._record(b) for b in s.buffers
         ]) + "]," + tail
 
     def round_line(self, rt: RoundTrace) -> str:

@@ -82,7 +82,7 @@ from __future__ import annotations
 import functools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
@@ -390,9 +390,18 @@ def _direct_slots(network: Network, bare: bool) -> tuple:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _direct_links(network: Network, bare: bool, first: bool) -> tuple:
+    """(sender, its links' keys (sender, receiver), its receivers) for each
+    sender of round 1's (`first`) or a pair round's `_direct_slots`, in
+    increasing pid order: the keys of the `sent` table, in its order."""
+    slots = _direct_slots(network, bare)[0 if first else 1]
+    return tuple((p, tuple((p, q) for q in slots[p]), slots[p]) for p in sorted(slots))
+
+
 class _DirectDelivery:
     """Bare and relay rounds, T = K = 1. The per-link `sent` table is built
-    for full traces and in round 1."""
+    for full traces and in round 1, from the cached `_direct_links`."""
 
     def __init__(self, scenario: Scenario, states: dict, r: int):
         self.network, self.states, self.r = scenario.network, states, r
@@ -417,9 +426,11 @@ class _DirectDelivery:
             }
         self.sent = sent = {}
         if self.full or self.r == 1:
-            for p in sorted(slots):
-                for q in slots[p]:
-                    sent[(p, q)] = forged[p][q] if p in forged else emitted[p]
+            for p, links, receivers in _direct_links(self.network, self.bare, self.r == 1):
+                if p in forged:
+                    sent.update(zip(links, map(forged[p].__getitem__, receivers)))
+                else:
+                    sent.update(zip(links, repeat(emitted[p])))
 
     def receiver_controlled(self, pid: int, ctx) -> None:
         pass  # no copy is held, so none is corrupted
@@ -647,10 +658,12 @@ def logical_round(scenario: Scenario, states: dict, lr: int, rng, trace: Trace) 
                 _update_classes(states, received, lr, scenario.params)
 
         sent, held = delivery.shown() if full else ({}, None)
-        if held is not None:
-            snapshot = {p: replace(states[p], buffers=held.get(p, ())) for p in g.vertices}
-        else:
-            snapshot = dict(states)
+        snapshot = dict(states)
+        if held is not None:  # a state holds its buffers only in the snapshot
+            for p, state in states.items():
+                buffers = held.get(p, ())
+                if buffers or state.buffers:
+                    snapshot[p] = state.holding(buffers)
         trace.append(RoundTrace(rho, controlled, sent, snapshot))
     return states
 

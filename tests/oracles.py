@@ -210,7 +210,7 @@ class TransferRuns:
 
     def _record_hop(self, holder, receiver, plan, route_id, value) -> None:
         self.hops.setdefault((holder, receiver), []).append(
-            {"transfer": f"{plan.sender}->{plan.receiver}", "route": route_id, "value": value}
+            (f"{plan.sender}->{plan.receiver}", route_id, value)
         )
 
     def step(self, t: int, controlled, corrupt) -> None:
@@ -255,14 +255,17 @@ def decode_every_pair(transfers, honest):
     it has one and else the payload its sender injected. Exceptions go only
     to the `honest` receivers; fallbacks count into every receiver."""
     payloads = {i: transfers.payload(i) for i in transfers.senders}
-    overrides = transfers.overrides
+    overrides, inject = transfers.overrides, transfers.index.inject
     exceptions, fallbacks = {}, 0
     for (i, j), copies in transfers.index.ids.items():
         if i == j or i not in payloads:
             continue
-        value, fell_back = _decode(
-            [overrides[c] if c in overrides else transfers._honest(c) for c in copies]
-        )
+        sent = transfers.sent.get(i)  # by round, for a sender controlled this logical round
+        value, fell_back = _decode([
+            overrides[c] if c in overrides
+            else transfers.initial[i] if sent is None else sent[inject[c] - 1]
+            for c in copies
+        ])
         fallbacks += fell_back
         if value is not payloads[i] and j in honest:
             exceptions[(i, j)] = value
@@ -281,15 +284,18 @@ def _one_by_one(corrupt):
 
 
 def payload_record(payload) -> object:
-    """JSON-ready form of any message payload appearing in a trace."""
+    """JSON-ready form of any message payload appearing in a trace. A
+    lifted round's list of hop records (transfer name, route, value) is
+    written as a list of {"route", "transfer", "value"} objects."""
     if isinstance(payload, Value):
         return str(payload)
     if isinstance(payload, PairMessage):
         return [str(payload.high), str(payload.medium)]
-    if isinstance(payload, (list, tuple)):
-        return [payload_record(p) for p in payload]
-    if isinstance(payload, dict):
-        return {k: payload_record(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [
+            {"transfer": name, "route": route, "value": payload_record(value)}
+            for name, route, value in payload
+        ]
     return payload
 
 

@@ -442,12 +442,42 @@ def test_run_five_set_pair_swapped(tmp_path, capsys):
      "protocol: requested 10 disjoint paths between 1 and 9; maximum is 9"),
     ("network = two-clique 8 9\nm = 1\nprotocol = lifted flood x\n",
      "protocol: kappa is not an integer: 'x'"),
+    # an empty value, or words past what the key takes
+    (BASELINE.replace("protocol = bare", "protocol ="), "protocol: no value given"),
+    (BASELINE.replace("strategy = random", "strategy ="), "strategy: no value given"),
+    (BASELINE.replace("network = complete 7", "network ="), "network: no value given"),
+    (BASELINE.replace("protocol = bare", "protocol = bare junk"),
+     "protocol: unexpected 'junk' after 'bare'"),
+    (BASELINE.replace("protocol = bare", "protocol = relay junk"),
+     "protocol: unexpected 'junk' after 'relay'"),
+    (BASELINE.replace("protocol = bare", "protocol = banana"), "protocol: unknown kind 'banana'"),
+    ("network = complete-minus-matching 13 6\nm = 1\nprotocol = lifted two-round junk\n",
+     "protocol: unexpected 'junk' after 'lifted two-round'"),
+    ("network = two-clique 5 9\nm = 1\nprotocol = lifted flood 9 9\n",
+     "protocol: unexpected '9' after 'lifted flood 9'"),
+    (BASELINE.replace("strategy = random", "strategy = random junk"),
+     "strategy: unexpected 'junk' after 'random'"),
+    (BASELINE.replace("strategy = random", "strategy = static 2 constant:1 junk"),
+     "strategy: unexpected 'junk' after 'static 2 constant:1'"),
+    (BASELINE.replace("strategy = random", "strategy = static 2 constant:1:0"),
+     "strategy: static rule constant takes 1 value(s): 'constant:1:0'"),
+    (BASELINE.replace("strategy = random", "strategy = static 2 split:0"),
+     "strategy: static rule split takes 2 value(s): 'split:0'"),
+    (BASELINE.replace("strategy = random", "strategy = alternating 2 3 fake=0 junk"),
+     "strategy: unexpected 'junk' after 'alternating 2 3 fake=0'"),
+    (BASELINE.replace("strategy = random", "strategy = alternating 2 3 fak=0"),
+     "strategy: alternating needs fake=V, not 'fak=0'"),
+    ("network = inline junk\nm = 1\n[edges]\n1 2\n", "network: unexpected 'junk' after 'inline'"),
 ], ids=[
     "typo", "cut-in-single-run", "strategy-in-pair", "seed-in-pair",
     "fake-value-in-cut-set", "swap-in-cut-set", "swap-not-boolean", "unknown-pair",
     "five-set-on-cycle", "perturb-one-id", "perturb-three-ids", "perturb-round-too-late",
     "perturb-no-such-sender", "repeated-key", "repeated-key-in-pair", "repeated-edges",
     "two-round-without-common-neighbours", "flood-kappa-above-connectivity", "flood-kappa-not-int",
+    "empty-protocol", "empty-strategy", "empty-network", "bare-extra", "relay-extra",
+    "unknown-protocol", "two-round-extra", "flood-extra", "random-extra", "static-extra",
+    "constant-extra-value", "split-missing-value", "alternating-extra", "alternating-not-fake",
+    "inline-extra",
 ])
 def test_run_rejects_what_the_file_kind_does_not_read(tmp_path, capsys, text, message):
     scenario = write(tmp_path, "s.txt", text)

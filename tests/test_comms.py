@@ -373,7 +373,7 @@ def test_full_trace_index_parts_are_built_on_first_full_use():
     )
     run(scenario)
     index = scheme.copy_index()
-    assert "names" not in vars(index) and "held" not in vars(index)
+    assert "names" not in vars(index) and "held" not in vars(index) and not index._hop_rows
     run(dataclasses.replace(scenario, trace_level="full"))
-    assert "names" in vars(index) and "held" in vars(index)
+    assert "names" in vars(index) and "held" in vars(index) and index._hop_rows
     assert index.names[0] == "1->2"

@@ -182,6 +182,23 @@ def test_cached_emission_is_invisible(clone):
     assert used.emission() is PairMessage(ONE, MANY)
 
 
+def test_holding_is_replace_of_the_buffers():
+    """A full trace's snapshot gives a state its buffers with `holding`,
+    which must build what `dataclasses.replace` builds: an equal state with
+    the same record and pickle, before and after the pair is cached."""
+    state = ProcessorState(high=ONE, medium=MANY, high_set=frozenset({ONE}), decided=ONE)
+    held = (("2->1", 0, 1, "1", False), ("3->1", 2, 2, "1,many", True))
+    for emitted in (False, True):
+        if emitted:
+            state.emission()
+        got, want = state.holding(held), dataclasses.replace(state, buffers=held)
+        assert got == want and hash(got) == hash(want)
+        assert got.to_record() == want.to_record()
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert got.emission() is PairMessage(ONE, MANY)
+    assert state.buffers == () and state.holding(()) == state
+
+
 def test_order_and_rendering_unchanged_over_a_three_symbol_alphabet():
     assert sorted(reversed(ALPHABET_3)) == ALPHABET_3
     assert [v.sort_key() for v in ALPHABET_3] == [(0, -1), (1, -1), (2, 0), (2, 1), (2, 2)]
@@ -213,7 +230,8 @@ def test_traces_do_not_depend_on_hash_seed_or_memory_layout():
     must still write the same traces."""
     root = Path(__file__).resolve().parent.parent
     names = ["bare-13-random-full", "bare-49-random-states",
-             "lifted-two-round-13-full", "lifted-two-round-cmm-19-states"]
+             "lifted-two-round-13-full", "lifted-two-round-cmm-19-states",
+             "relay-cut-set-two-clique-12-8-a-full"]
     outputs = []
     for hash_seed, junk in (("0", "1001"), ("4242", "30000")):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)

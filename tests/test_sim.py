@@ -9,6 +9,7 @@ from mobyz import (
     PairMessage,
     RandomizedControl,
     Scenario,
+    ScheduledControl,
     Strategy,
     StrategyViolation,
     Trace,
@@ -24,6 +25,7 @@ from mobyz import (
     two_round_scheme,
 )
 from mobyz.protocol import ProtocolParams
+from mobyz import sim
 from mobyz.sim import StepContext, _round_window, _value_choices
 
 from oracles import round_update
@@ -178,6 +180,50 @@ def test_delivery_respects_topology():
     for rt in run(sc2).rounds:
         for (i, j) in rt.sent:
             assert i == j or sc2.network.adjacent(i, j)
+
+
+def _per_link_sent(delivery) -> dict:
+    """Direct delivery's `sent` table as a loop over every slot builds it:
+    senders in increasing pid order, each one's receivers in slot order."""
+    slots, forged, emitted = delivery.slots, delivery.forged, delivery.emitted
+    sent = {}
+    for p in sorted(slots):
+        for q in slots[p]:
+            sent[(p, q)] = forged[p][q] if p in forged else emitted[p]
+    return sent
+
+
+@pytest.mark.parametrize("mode, g, m", [
+    ("bare", complete_network(13), 2),
+    ("relay", make_two_clique_network(4, 4), 1),
+    ("relay", make_two_clique_network(12, 8), 2),
+], ids=["bare-complete-13", "relay-two-clique-4-4", "relay-two-clique-12-8"])
+@pytest.mark.parametrize("level", ["full", "states"])
+def test_direct_sent_table_is_the_per_link_loop(monkeypatch, mode, g, m, level):
+    """The `sent` table read from the cached link table has the entries and
+    the key order of the per-link loop, in round 1 and in pair rounds, with
+    controlled senders forging (the source among them in round 1)."""
+    schedule = {r: {r % g.n + 1, (r + 5) % g.n + 1} for r in range(2, 2 * g.n + 1)}
+    schedule = {r: set(sorted(pids)[:m]) for r, pids in schedule.items()}
+    schedule[1] = {1}
+    checked = []
+    step = sim._DirectDelivery.step
+
+    def step_and_compare(self, t, controlled, ctx):
+        step(self, t, controlled, ctx)
+        if self.full or self.r == 1:
+            reference = _per_link_sent(self)
+            assert self.sent == reference and list(self.sent) == list(reference)
+            checked.append((self.r, sorted(self.forged)))
+
+    monkeypatch.setattr(sim._DirectDelivery, "step", step_and_compare)
+    run(Scenario(network=g, m=m, source_value=ONE, strategy=ScheduledControl(
+        schedule, RandomizedControl()), mode=mode, seed=3, trace_level=level))
+    assert checked[0] == (1, [1])
+    if level == "full":
+        assert len(checked) == 2 * g.n and all(forged for _r, forged in checked)
+    else:
+        assert len(checked) == 1
 
 
 def test_honest_states_reproducible_by_replaying_updates():

@@ -183,6 +183,8 @@ SCENARIOS = {
     "cut-set-two-clique-4-4-b": lambda: _cut_set("b"),
     "relay-five-set-15-3-a-states": lambda: _relay_states(five_set_pair(15, 3), "a"),
     "relay-five-set-15-3-b-states": lambda: _relay_states(five_set_pair(15, 3), "b"),
+    "relay-five-set-15-3-a-full": lambda: five_set_pair(15, 3).scenario_a,
+    "relay-five-set-15-3-b-full": lambda: five_set_pair(15, 3).scenario_b,
     "relay-five-set-15-3-swap-a-states": lambda: _relay_states(
         five_set_pair(15, 3, swap=True), "a"),
     "relay-five-set-15-3-swap-b-states": lambda: _relay_states(
@@ -251,6 +253,10 @@ PINS = {
     # had adopted a value
     "relay-random-cycle-9-full": "ee7862db53affdd2b35d46c01a1163a905e22bc1d496cadd720727725fd9f8b2",
     "relay-random-two-clique-12-8-m2-full": "c8fa61cb358452a0814625812c1abebfe8415782dbfefbe9a0d80f95f13835b6",
+    # generated on the engine before direct rounds read a cached link table
+    # and hop records became tuples
+    "relay-five-set-15-3-a-full": "75e46ac2ed0d87b26166f908f03acb48a517abe53f135ace28b70b9e428afaa0",
+    "relay-five-set-15-3-b-full": "f508d48aafeb0255df3230fbc8a27a823e8d637dbab34530494ce63be1d633e6",
 }
 
 
@@ -289,6 +295,18 @@ VIEW_PINS = {
         "c240d106d79c835a72d7a953a3f30af17fcce482b6a2c3f5499d4ce45c5c916d",
         "6e8ce03389a902adec98777b2d50c4d36892c83797a72a42f2021164d6ffa870",
         "2c865593c7975b5d12b998202d96172bf296ba3758c18314a09e8d22e7cce5aa",
+    ),
+    # generated on the engine before direct rounds read a cached link table;
+    # 10 and 13 are observers of the pair, and 1 sees the same in both runs
+    "relay-five-set-15-3-a-full": (
+        "e84e67289f1ad5a46950ccb816ee04f03740d3343d7b18b7ff1160558c69f022",
+        "564ed84e521dbb7a94cde7e8ca0b5999a09a9389ef26006d04b602dcb816b599",
+        "4189ff512a02287d22e3e8de258119be16f71ae9a41b546a888ae4c10acf60fe",
+    ),
+    "relay-five-set-15-3-b-full": (
+        "e84e67289f1ad5a46950ccb816ee04f03740d3343d7b18b7ff1160558c69f022",
+        "564ed84e521dbb7a94cde7e8ca0b5999a09a9389ef26006d04b602dcb816b599",
+        "4189ff512a02287d22e3e8de258119be16f71ae9a41b546a888ae4c10acf60fe",
     ),
 }
 

@@ -109,10 +109,7 @@ def _hand_built() -> Trace:
     )
     states = {p: ProcessorState() for p in range(1, 12)}
     states[10] = buffered
-    hops = [
-        {"transfer": "11->3", "route": 2, "value": pair},
-        {"transfer": "1->3", "route": 0, "value": EMPTY},
-    ]
+    hops = [("11->3", 2, pair), ("1->3", 0, EMPTY)]
     return Trace(n=11, rounds=[
         RoundTrace(1, frozenset(), {(1, 10): ONE, (1, 2): ZERO, (1, 11): MANY}, states),
         RoundTrace(2, frozenset({11, 2, 10}), {
