@@ -416,6 +416,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 2
     kind, base = _load_scenario(args.scenario)
     if kind == "pair":
         print("error: campaigns need a single-run scenario", file=sys.stderr)

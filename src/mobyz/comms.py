@@ -57,7 +57,7 @@ class CommScheme:
     K: int
     kappa: int = 0  # flooding only
     _plans: dict = field(default_factory=dict, repr=False)
-    _copies: Optional["CopyIndex"] = field(default=None, repr=False, compare=False)
+    _copies: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.K <= self.T:
@@ -72,12 +72,16 @@ class CommScheme:
                 self._plans[key] = flood_plan(self.network, u, v, self.m, self.kappa)
         return self._plans[key]
 
-    def copy_index(self) -> "CopyIndex":
-        """Where every transfer's copies are in each round of a logical
-        round; built on first use and then cached, like the plans."""
-        if self._copies is None:
-            self._copies = _build_copy_index(self)
-        return self._copies
+    def copy_index(self, senders: Optional[tuple] = None) -> "CopyIndex":
+        """Where the copies of the transfers from `senders` (by default
+        every processor) are in each round of a logical round; built on
+        first use per sender tuple and then cached, like the plans."""
+        if senders is None:
+            senders = tuple(self.network.vertices)
+        index = self._copies.get(senders)
+        if index is None:
+            index = self._copies[senders] = _build_copy_index(self, senders)
+        return index
 
 
 def two_round_plan(g: Network, u: int, v: int, m: int) -> TransferPlan:
@@ -282,9 +286,10 @@ class TransferRun:
 
 @dataclass(frozen=True)
 class CopyIndex:
-    """Every copy of every transfer of a scheme, numbered in the reference
-    order (sorted transfer, then injection round, then route), and the
-    places it visits within one logical round.
+    """Every copy of the transfers from `senders` to every processor over a
+    scheme, numbered in the reference order (transfer by sender and then
+    receiver, then injection round, then route), and the places it visits
+    within one logical round.
 
     `touches[(t, v)]` lists the (order, copy, v) events of round t in which v
     holds a copy that moves (order 2·copy) or receives one (2·copy + 1);
@@ -300,6 +305,7 @@ class CopyIndex:
     read `names`, `held` and `hop_rows`, built on their first use.
     """
 
+    senders: tuple
     touches: dict
     visits: dict
     stored: dict
@@ -365,31 +371,30 @@ class CopyIndex:
             for v, t in self.stored
         }
 
-    def hop_rows(self, t: int, senders: tuple) -> tuple:
+    def hop_rows(self, t: int) -> tuple:
         """(link, ((copy, transfer name, route, sender), ...)) for each link
-        the copies of `senders` move along in round t, in the order a loop
-        over the senders and their `moves` reaches them. Built on first use
-        per (t, senders), then kept."""
-        key = (t, senders)
-        rows = self._hop_rows.get(key)
+        that copies move along in round t, in the order a loop over the
+        senders and their `moves` reaches them. Built on first use per
+        round, then kept."""
+        rows = self._hop_rows.get(t)
         if rows is None:
             names, route = self.names, self.route
             links: dict = {}
-            for u in senders:
+            for u in self.senders:
                 for link, c in self.moves.get((t, u), ()):
                     links.setdefault(link, []).append((c, names[c], route[c], u))
-            rows = self._hop_rows[key] = tuple(
+            rows = self._hop_rows[t] = tuple(
                 (link, tuple(listed)) for link, listed in links.items()
             )
         return rows
 
 
-def _build_copy_index(scheme: CommScheme) -> CopyIndex:
+def _build_copy_index(scheme: CommScheme, senders: tuple) -> CopyIndex:
     vertices = scheme.network.vertices
     touches: dict = {}
     moves: dict = {}
     transfer, inject, route_ids, arrivals = [], [], [], {}
-    for u in vertices:
+    for u in senders:
         for v in vertices:
             routes = scheme.plan(u, v).routes
             copies = sorted(
@@ -414,10 +419,11 @@ def _build_copy_index(scheme: CommScheme) -> CopyIndex:
                         arrived.append((t, c))
             arrivals[(u, v)] = tuple(sorted(arrived))
     return CopyIndex(
+        senders=senders,
         touches={key: tuple(events) for key, events in touches.items()},
         visits={key: _visit(events) for key, events in touches.items()},
         stored={
-            (v, t): tuple(c for u in vertices for arrival, c in arrivals[(u, v)] if arrival <= t)
+            (v, t): tuple(c for u in senders for arrival, c in arrivals[(u, v)] if arrival <= t)
             for v in vertices
             for t in range(1, scheme.T + 1)
         },
@@ -444,7 +450,10 @@ def _visit(events) -> tuple:
 
 class SparseTransfers:
     """The lifted back-end: visits only the copies a controlled processor
-    holds or receives, and keeps what it wrote to them as overrides.
+    holds or receives, and keeps what it wrote to them as overrides. It
+    reads the scheme's copy index of its senders, so each copy it visits is
+    one of theirs, and a round with one sender runs the same code as a
+    round with n.
 
     Every other copy is honest and carries its sender's payload of its
     injection round, which differs from the sender's payload when the
@@ -459,8 +468,7 @@ class SparseTransfers:
     was controlled in some rounds overrode only its `CopyIndex.footprint`
     for them, in which a transfer is heavy or light. So a transfer is dirty
     only when it is heavy in one footprint, light in two, or touched in a
-    round with several controlled processors (or in logical round 1, whose
-    one sender the footprints do not cover). A transfer light in one
+    round with several controlled processors. A transfer light in one
     footprint and untouched otherwise has fewer than half of its arrived
     copies overridden. `pending` is what decode() looks at: the dirty
     transfers, every transfer of a sender whose payload changed during the
@@ -482,10 +490,9 @@ class SparseTransfers:
     """
 
     def __init__(self, scheme: CommScheme, senders, payload):
-        self.index = scheme.copy_index()
+        self.index = scheme.copy_index(tuple(senders))
         self.vertices = scheme.network.vertices
-        self.senders = senders
-        self.every_sender = len(senders) == len(self.vertices)
+        self.senders = self.index.senders
         self.payload = payload
         self.initial = {i: payload(i) for i in senders}
         self.t = 0
@@ -515,17 +522,15 @@ class SparseTransfers:
             sent.extend([payload] * (t - len(sent)))
         self.received = {}
         index = self.index
-        if len(controlled) == 1 and self.every_sender:
+        if len(controlled) == 1:
             v = next(iter(controlled))
             self.alone.setdefault(v, []).append(t)
             visit = index.visits.get((t, v))
             if visit is not None:
                 self._corrupt(v, *visit, corrupt)
             return
-        touches, transfer, senders = index.touches, index.transfer, self.senders
+        touches, transfer = index.touches, index.transfer
         events = sorted(e for v in controlled for e in touches.get((t, v), ()))
-        if not self.every_sender:
-            events = [e for e in events if transfer[e[1]][0] in senders]
         for v, run in groupby(events, itemgetter(2)):
             copies, received = _visit(run)
             self._corrupt(v, copies, received, corrupt)
@@ -535,11 +540,7 @@ class SparseTransfers:
         """Controlled pid's stored copies, by sender and then arrival: one
         batch."""
         index, t = self.index, self.t
-        if self.every_sender:
-            copies = index.stored[(pid, t)]
-        else:
-            copies = [c for i in self.senders for arrival, c in index.arrivals[(i, pid)]
-                      if arrival <= t]
+        copies = index.stored[(pid, t)]
         if copies:
             self._corrupt(pid, copies, (), corrupt)
             if t not in self.alone.get(pid, ()):
@@ -558,7 +559,7 @@ class SparseTransfers:
             pending |= heavy
             pending |= light & seen
             seen |= light
-        pending.update(key for key in index.silent if key[0] in payloads)
+        pending.update(index.silent)
         exceptions, fallbacks, kept = {}, 0, {}
         for i, sent in self.sent.items():
             if sent.count(sent[0]) < len(sent):
@@ -607,7 +608,7 @@ class SparseTransfers:
                     shown[c] = sent[index.inject[c] - 1]
         return {
             link: [(name, route, shown.get(c, initial[i])) for c, name, route, i in rows]
-            for link, rows in index.hop_rows(t, tuple(self.senders))
+            for link, rows in index.hop_rows(t)
         }
 
     def buffers(self) -> dict:
@@ -631,9 +632,7 @@ class SparseTransfers:
         held: dict = {}
         for v in self.vertices:
             records = tuple([
-                head + marks.get(c, tail)
-                for c, i, head in index.held[(v, t)]
-                if (tail := tails.get(i)) is not None
+                head + marks.get(c, tails[i]) for c, i, head in index.held[(v, t)]
             ])
             if records:
                 held[v] = records

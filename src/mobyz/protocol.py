@@ -88,6 +88,18 @@ def cut_points(params: ProtocolParams) -> tuple:
     return 2 * u, 3 * u, 4 * u, params.n - 2 * u - 1
 
 
+def pivot_backing(pivot_high, medium_counts: dict):
+    """The medium backing of the pivot's high: how many received pairs
+    carried it, or MANY, as their medium half (MANY backs only itself);
+    None when there is no high to back, for pivot_high None or EMPTY."""
+    if pivot_high is None or pivot_high == EMPTY:
+        return None
+    backing = medium_counts.get(pivot_high, 0)
+    if pivot_high != MANY:
+        backing += medium_counts.get(MANY, 0)
+    return backing
+
+
 def histogram_update(
     self_id: int,
     state: ProcessorState,
@@ -126,15 +138,11 @@ def histogram_update(
 
     # the pivot's high may also qualify on medium-half backing (its own
     # value or MANY); candidates are only values someone sent as a high
-    pivot_backing = -1
-    if pivot_high is not None and pivot_high != EMPTY:
-        pivot_backing = medium_counts.get(pivot_high, 0)
-        if pivot_high != MANY:
-            pivot_backing += medium_counts.get(MANY, 0)
+    backing = pivot_backing(pivot_high, medium_counts)
 
     def supported(threshold: int) -> frozenset:
         out = {x for x, c in high_counts.items() if c > threshold and x != EMPTY}
-        if pivot_backing > threshold:
+        if backing is not None and backing > threshold:
             out.add(pivot_high)
         return frozenset(out)
 

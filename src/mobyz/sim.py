@@ -23,7 +23,8 @@ are fully deterministic given the scenario seed. The mode picks the
 back-end:
   direct delivery (bare, relay) — each message goes straight along its edge.
   `comms.SparseTransfers` (lifted) — visits only the copies a controlled
-      processor holds or receives (from the scheme's cached `CopyIndex`)
+      processor holds or receives, from the scheme's cached `CopyIndex` of
+      the round's senders (the source in round 1, every processor later),
       and treats every other copy as honest. Its decode looks only at the
       transfers that may decode to something other than their sender's
       payload: those whose sender's payload changed during the logical
@@ -103,6 +104,7 @@ from .protocol import (
     cut_points,
     first_round_state,
     histogram_update,
+    pivot_backing,
     pivot_index,
     termination_round,
 )
@@ -196,6 +198,8 @@ class Scenario:
                 f"0..{self.alphabet_size - 1}"
             )
         self.T, self.K = 1, 1
+        if self.mode != "lifted" and self.lifted is not None:
+            raise ValueError(f"{self.mode} mode takes no lifted protocol description")
         if self.mode == "bare":
             if not self.network.is_complete():
                 raise ValueError("the bare protocol requires a complete network")
@@ -207,6 +211,7 @@ class Scenario:
         elif self.mode == "lifted":
             if self.lifted is None:
                 raise ValueError("lifted mode needs a lifted protocol description")
+            self._check_lifted()
             self.params = self.lifted.params
             self.T, self.K = self.lifted.scheme.T, self.lifted.scheme.K
             if self.rounds is None:
@@ -221,6 +226,32 @@ class Scenario:
             self.params = None
             if self.rounds is None:
                 self.rounds = 2 * self.network.n
+
+    def _check_lifted(self) -> None:
+        """The lifted description must be this scenario's: its scheme on
+        this network (by identity first, as `dataclasses.replace` checks
+        again for every campaign item), for at least m faults a round, and
+        its parameters for this n and alphabet. A scheme for more faults
+        also carries fewer, as the fault-free counterfactual worlds (m = 0)
+        do."""
+        scheme, params = self.lifted.scheme, self.lifted.params
+        g = scheme.network
+        if g is not self.network and (g.n != self.network.n or g.edges() != self.network.edges()):
+            raise ValueError("the lifted scheme runs on another network than the scenario's")
+        if params.n != self.network.n:
+            raise ValueError(
+                f"the lifted protocol is for n={params.n}, the network has {self.network.n}"
+            )
+        if self.m > scheme.m:
+            raise ValueError(
+                f"the lifted scheme carries m={scheme.m} faults a round, "
+                f"the scenario allows m={self.m}"
+            )
+        if params.alphabet_size != self.alphabet_size:
+            raise ValueError(
+                f"the lifted protocol's alphabet has {params.alphabet_size} symbols, "
+                f"the scenario's {self.alphabet_size}"
+            )
 
     @property
     def n(self) -> int:
@@ -329,20 +360,23 @@ def _controlled(strategy, ctx) -> frozenset:
 
 
 def _forged(strategy, ctx, pid) -> dict:
+    """The strategy's forged payloads of pid, checked as one list: a payload
+    of the round's kind for each of its slots. An unfilled slot reads as
+    None, so only a failed check looks for which slot failed and why."""
     payloads = strategy.forge(ctx, pid)
     slots = ctx.slots(pid)
-    missing = [q for q in slots if q not in payloads]
-    if missing:
-        raise StrategyViolation(
-            f"round {ctx.round}: strategy left slots {missing} of {pid} unfilled"
-        )
     expected = Value if ctx.payload_kind == "value" else PairMessage
-    for q in slots:
-        if not isinstance(payloads[q], expected):
+    if not all(map(isinstance, map(payloads.get, slots), repeat(expected))):
+        missing = [q for q in slots if q not in payloads]
+        if missing:
             raise StrategyViolation(
-                f"round {ctx.round}: {pid} forged {payloads[q]!r} for slot {q}, "
-                f"not a {expected.__name__}"
+                f"round {ctx.round}: strategy left slots {missing} of {pid} unfilled"
             )
+        q = next(q for q in slots if not isinstance(payloads[q], expected))
+        raise StrategyViolation(
+            f"round {ctx.round}: {pid} forged {payloads[q]!r} for slot {q}, "
+            f"not a {expected.__name__}"
+        )
     return payloads
 
 
@@ -470,9 +504,9 @@ class _LiftedDelivery:
         self.r, self.params, self.slots = r, scenario.params, {}
         if r == 1:
             self.source_copy = scenario.source_value  # the source's own stored v_s
-            senders, payload = [SOURCE], lambda i: self.source_copy
+            senders, payload = (SOURCE,), lambda i: self.source_copy
         else:
-            senders, payload = list(scenario.network.vertices), lambda i: states[i].emission()
+            senders, payload = tuple(scenario.network.vertices), lambda i: states[i].emission()
         self.transfers = SparseTransfers(scenario.lifted.scheme, senders, payload)
 
     def step(self, t: int, controlled, ctx) -> None:
@@ -574,9 +608,8 @@ def _cut_in_reach(payloads, exceptions, high_base, medium_base, pivot_high, para
     receiver's, its payload or an exception, so in a bare round, where no
     forged sender has a payload, reach is what every honest receiver has.
     A count lies in [c, c + reach] for c its value in the rest: a high count
-    (0 for a value absent from it), or the medium backing of pivot_high as
-    `histogram_update` computes it (none for None or EMPTY). The test can
-    differ only if a cut point k has c <= k < c + reach."""
+    (0 for a value absent from it), or the `pivot_backing` of pivot_high.
+    The test can differ only if a cut point k has c <= k < c + reach."""
     touched = [payloads[i] for i in exceptions if i in payloads]
     if touched:  # lifted rounds: take the senders with exceptions out
         high_base, medium_base = dict(high_base), dict(medium_base)
@@ -590,12 +623,8 @@ def _cut_in_reach(payloads, exceptions, high_base, medium_base, pivot_high, para
 
     if crossed(0) or any(map(crossed, high_base.values())):
         return True
-    if pivot_high is None or pivot_high == EMPTY:
-        return False
-    backing = medium_base.get(pivot_high, 0)
-    if pivot_high != MANY:
-        backing += medium_base.get(MANY, 0)
-    return crossed(backing)
+    backing = pivot_backing(pivot_high, medium_base)
+    return backing is not None and crossed(backing)
 
 
 def _update_classes(states: dict, counted: list, r: int, params: ProtocolParams) -> None:

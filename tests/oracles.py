@@ -258,7 +258,7 @@ def decode_every_pair(transfers, honest):
     overrides, inject = transfers.overrides, transfers.index.inject
     exceptions, fallbacks = {}, 0
     for (i, j), copies in transfers.index.ids.items():
-        if i == j or i not in payloads:
+        if i == j:
             continue
         sent = transfers.sent.get(i)  # by round, for a sender controlled this logical round
         value, fell_back = _decode([

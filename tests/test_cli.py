@@ -325,6 +325,15 @@ def test_campaign_without_seeds_runs_the_file_seed(tmp_path, capsys, monkeypatch
     assert ran == [42]
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_campaign_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
+    scenario = write(tmp_path, "s.txt", BASELINE)
+    code, stdout, err = invoke(capsys, "campaign", scenario, "--seeds", seeds)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: --seeds must be at least 1, got {seeds}"]
+
+
 def test_campaign_rejects_undersized_network(tmp_path, capsys):
     scenario = write(tmp_path, "s.txt", "network = complete 6\nm = 1\n")
     code, _, err = invoke(capsys, "campaign", scenario, "--seeds", "5")

@@ -274,13 +274,18 @@ def test_decode_shortcut_agrees_with_the_full_count(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_sparse_decode_equals_counting_every_copy(scheme, data):
-    """One lifted logical round of random control, corruption and rewrites:
+    """One lifted logical round of random control, corruption and rewrites,
+    from every processor or from a drawn set of senders:
     `SparseTransfers.decode(honest)` must give what counting every arrived
     copy of every transfer gives: the exceptions into the honest receivers,
     and the fallbacks into every receiver."""
     g = scheme.network
     payloads = {i: data.draw(st.sampled_from(PAIRS)) for i in g.vertices}
-    transfers = SparseTransfers(scheme, list(g.vertices), payloads.__getitem__)
+    senders = data.draw(st.one_of(
+        st.just(tuple(g.vertices)),
+        st.sets(st.integers(1, g.n), min_size=1).map(lambda drawn: tuple(sorted(drawn))),
+    ), label="senders")
+    transfers = SparseTransfers(scheme, senders, payloads.__getitem__)
 
     def corrupt(_pid, k):
         return [data.draw(st.sampled_from(PAIRS)) for _ in range(k)]
@@ -305,6 +310,79 @@ def test_decode_shortcut_boundary():
     assert not _honest_majority(copies, {0: ZERO, 1: ZERO})  # a tie is no majority
     assert _decode([ZERO, ZERO, ONE, ONE]) == (ZERO, True)
     assert not _honest_majority([], {})
+
+
+# --- one copy index per sender set ------------------------------------------
+
+
+def _restricted(index, senders, T) -> dict:
+    """The parts of `index` that a copy index of `senders` alone keeps, its
+    copies renumbered by (transfer, injection round, route) to that index's
+    numbers, ordered as `index` orders them. Keys no copy of `senders`
+    reaches are dropped, except `stored`'s, which list every (v, t)."""
+    own = {}
+    for c, key in enumerate(index.transfer):
+        if key[0] in senders:
+            own[c] = len(own)
+
+    def copies(listed):
+        return tuple(own[c] for c in listed if c in own)
+
+    def kept(parts: dict) -> dict:
+        return {key: part for key, part in parts.items() if part}
+
+    return {
+        "touches": kept({
+            key: tuple((2 * own[c] + (order & 1), own[c], v)
+                       for order, c, v in events if c in own)
+            for key, events in index.touches.items()
+        }),
+        "visits": kept({
+            key: (copies(listed), copies(received))
+            for key, (listed, received) in index.visits.items()
+            if copies(listed)
+        }),
+        "stored": {key: copies(listed) for key, listed in index.stored.items()},
+        "moves": kept({
+            key: tuple((link, own[c]) for link, c in moved if c in own)
+            for key, moved in index.moves.items()
+        }),
+        "held": {
+            key: tuple((own[c], u, head) for c, u, head in rows if c in own)
+            for key, rows in index.held.items()
+        },
+        "hop_rows": {
+            t: kept({
+                link: tuple((own[c], name, route, u) for c, name, route, u in rows if c in own)
+                for link, rows in index.hop_rows(t)
+            })
+            for t in range(1, T + 1)
+        },
+    }
+
+
+@pytest.mark.parametrize("scheme", [
+    two_round_scheme(complete_minus_matching(13, 6), 1),
+    # T = 3; the cliques' members also exchange directly in round 2
+    flood_scheme(make_two_clique_network(5, 9), 1, 9),
+], ids=["two-round", "flood"])
+@pytest.mark.parametrize("senders", [(1,), (4, 9)], ids=["source", "two-senders"])
+def test_copy_index_of_some_senders_is_the_full_index_restricted(scheme, senders):
+    """A sender set's copy index holds exactly the every-sender index's
+    copies of its senders, in the same relative order, and places them
+    alike."""
+    full, own = scheme.copy_index(), scheme.copy_index(senders)
+    assert own.senders == senders and scheme.copy_index(senders) is own
+    assert full.senders == tuple(scheme.network.vertices)
+    assert scheme.copy_index(full.senders) is full
+    assert [full.transfer[c] for c in range(len(full.transfer))
+            if full.transfer[c][0] in senders] == list(own.transfer)
+    parts = {
+        "touches": own.touches, "visits": own.visits, "stored": own.stored,
+        "moves": own.moves, "held": own.held,
+        "hop_rows": {t: dict(own.hop_rows(t)) for t in range(1, scheme.T + 1)},
+    }
+    assert parts == _restricted(full, senders, scheme.T)
 
 
 # --- the lifting reduction --------------------------------------------------------

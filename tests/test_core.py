@@ -230,7 +230,8 @@ def test_traces_do_not_depend_on_hash_seed_or_memory_layout():
     must still write the same traces."""
     root = Path(__file__).resolve().parent.parent
     names = ["bare-13-random-full", "bare-49-random-states",
-             "lifted-two-round-13-full", "lifted-two-round-cmm-19-states",
+             "lifted-two-round-13-full", "lifted-two-round-cmm-13-round-one-full",
+             "lifted-two-round-cmm-19-states",
              "relay-cut-set-two-clique-12-8-a-full"]
     outputs = []
     for hash_seed, junk in (("0", "1001"), ("4242", "30000")):

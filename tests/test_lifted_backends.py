@@ -358,6 +358,13 @@ def _physical(case, lr, t) -> int:
     return (lr - 1) * _base(case).T + t
 
 
+def _light_in_round_one(case, pid, rounds) -> bool:
+    """Whether pid controlled alone in `rounds` of logical round 1 overrides
+    fewer than half of some transfer's arrived copies: its footprint over
+    the source's copy index has a light transfer."""
+    return bool(_base(case).lifted.scheme.copy_index((SOURCE,)).footprint(pid, rounds)[1])
+
+
 def _light_alone_heavy_together(case, transfer, *controls) -> bool:
     """Whether `transfer` is light in the footprint of each (pid, rounds)
     of `controls`, and they override at least half of its arrived copies
@@ -396,6 +403,17 @@ PINNED = {
          _physical("two-round-complete-13-m2", 2, 2): {4}},
         None,
     ),
+    # logical round 1, whose one sender is the source
+    "round-one-source": ("flood-two-clique-5-9-m1", {1: {SOURCE}, 2: {SOURCE}}, None),
+    "round-one-relay": (
+        "two-round-cmm-13-6-m1", {1: {4}},
+        lambda: _light_in_round_one("two-round-cmm-13-6-m1", 4, (1,)),
+    ),
+    "round-one-receiver-in-round-T": (
+        "flood-two-clique-5-9-m1", {3: {12}},
+        lambda: _light_in_round_one("flood-two-clique-5-9-m1", 12, (3,)),
+    ),
+    "round-one-events": ("two-round-complete-13-m2", {1: {SOURCE, 3}, 2: {4}}, None),
 }
 
 
@@ -408,4 +426,11 @@ def test_pinned_schedules_match_decoding_every_pair(name, seed):
     log = checked_run(dataclasses.replace(
         _base(case), strategy=ScheduledControl(schedule, KeptState()), seed=seed
     ))
-    assert any(log) == (name == "events")  # only it has a round no footprint covers
+    # only a round with several controlled processors escapes the footprints
+    assert any(log) == any(len(pids) > 1 for pids in schedule.values())
+
+
+@pytest.mark.parametrize("name", sorted(name for name in PINNED if name.startswith("round-one")))
+def test_pinned_round_one_schedules_match_the_oracle(name):
+    case, schedule, _forced = PINNED[name]
+    assert_matches_oracle(case, lambda: ScheduledControl(schedule, KeptState()), seed=0)

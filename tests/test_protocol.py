@@ -13,6 +13,7 @@ from mobyz import (
     pivot_index,
     termination_round,
 )
+from mobyz.protocol import pivot_backing
 
 from oracles import oracle_update, round_update
 
@@ -154,3 +155,13 @@ def test_final_round_has_no_pivot():
     received = pairs([ONE] * 5 + [ZERO] * 2)
     got = run_both(3, ProcessorState(), received, 14, params)
     assert got.high_set == frozenset([ONE])
+
+
+def test_pivot_backing_counts_the_high_and_many_mediums():
+    mediums = {ZERO: 3, ONE: 1, MANY: 2, EMPTY: 4}
+    assert pivot_backing(ZERO, mediums) == 5  # its own 3 and MANY's 2
+    assert pivot_backing(Value.plain(2), mediums) == 2  # absent: MANY's alone
+    assert pivot_backing(MANY, mediums) == 2  # MANY backs only itself
+    assert pivot_backing(ONE, {}) == 0
+    assert pivot_backing(EMPTY, mediums) is None
+    assert pivot_backing(None, mediums) is None

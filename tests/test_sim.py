@@ -48,6 +48,46 @@ def test_scenario_validation():
         Scenario(network=complete_network(7), m=1, source_value=EMPTY, strategy=NoFaults())
 
 
+def _lifted_13(m=1, alphabet=2, network=None):
+    g = make_two_clique_network(4, 5) if network is None else network
+    return lift(two_round_scheme(g, m), ProtocolParams(n=13, m=m, alphabet_size=alphabet))
+
+
+@pytest.mark.parametrize("mode, network, m, alphabet, lifted, message", [
+    ("bare", complete_network(13), 1, 2, lambda: _lifted_13(network=complete_network(13)),
+     "bare mode takes no lifted protocol description"),
+    ("relay", make_two_clique_network(4, 5), 1, 2, _lifted_13,
+     "relay mode takes no lifted protocol description"),
+    ("lifted", complete_network(13), 1, 2, _lifted_13,
+     "runs on another network than the scenario's"),
+    ("lifted", make_two_clique_network(4, 5), 1, 2,
+     lambda: lift(two_round_scheme(make_two_clique_network(4, 5), 1), ProtocolParams(n=12, m=1)),
+     "the lifted protocol is for n=12, the network has 13"),
+    ("lifted", make_two_clique_network(4, 5), 2, 2, _lifted_13,
+     "carries m=1 faults a round, the scenario allows m=2"),
+    ("lifted", make_two_clique_network(4, 5), 1, 3, _lifted_13,
+     "alphabet has 2 symbols, the scenario's 3"),
+    ("lifted", make_two_clique_network(4, 5), 1, 2, lambda: _lifted_13(alphabet=3),
+     "alphabet has 3 symbols, the scenario's 2"),
+], ids=["bare-with-lifted", "relay-with-lifted", "other-network", "other-n", "more-faults",
+        "wider-alphabet", "narrower-alphabet"])
+def test_lifted_description_must_be_the_scenarios(mode, network, m, alphabet, lifted, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(network=network, m=m, source_value=ONE, strategy=NoFaults(), mode=mode,
+                 lifted=lifted(), alphabet_size=alphabet)
+
+
+def test_lifted_description_on_an_equal_network_and_fewer_faults():
+    """An equal network built apart passes, and so does a scenario with
+    fewer faults than the scheme carries, as a fault-free world has."""
+    lifted = _lifted_13()
+    for m in (0, 1):
+        sc = Scenario(network=make_two_clique_network(4, 5), m=m, source_value=ONE,
+                      strategy=NoFaults(), mode="lifted", lifted=lifted)
+        assert sc.network is not lifted.scheme.network
+        assert check_agreement(run(sc), sc).ok
+
+
 def test_lifted_rounds_must_match_the_schedule():
     g = make_two_clique_network(4, 5)
     lifted = lift(two_round_scheme(g, 1), ProtocolParams(n=13, m=1))
@@ -396,6 +436,22 @@ def test_round_one_forgery_must_be_a_value():
     sc = Scenario(network=complete_network(7), m=1, source_value=ONE,
                   strategy=PairToEveryone())
     with pytest.raises(StrategyViolation, match=r"round 1: 1 forged .* for slot 1, not a Value"):
+        run(sc)
+
+
+@pytest.mark.parametrize("forged, message", [
+    ({}, r"round 1: strategy left slots \[1, 2, 3, 4, 5, 6, 7\] of 1 unfilled"),
+    ({q: ONE for q in (1, 2, 3, 5, 6, 7)}, r"round 1: strategy left slots \[4\] of 1 unfilled"),
+    ({q: None if q == 5 else ONE for q in range(1, 8)},
+     r"round 1: 1 forged None for slot 5, not a Value"),
+], ids=["no-slot", "one-slot", "none-in-a-slot"])
+def test_every_forged_slot_must_be_filled(forged, message):
+    class Forges(_ControlsPivotTwo):
+        def forge(self, ctx, pid):
+            return dict(forged)
+
+    sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=Forges())
+    with pytest.raises(StrategyViolation, match=message):
         run(sc)
 
 

@@ -25,6 +25,7 @@ from mobyz import (
     RandomizedControl,
     Scenario,
     ScheduledControl,
+    Strategy,
     Value,
     complete_minus_matching,
     complete_network,
@@ -103,6 +104,14 @@ def _lifted_full(g, m, scheme, seed, alphabet=2):
     return dataclasses.replace(_lifted_states(g, m, scheme, seed, alphabet), trace_level="full")
 
 
+def _lifted_round_one(g, scheme, schedule, seed):
+    """A full lifted trace with random lies from the processors `schedule`
+    controls in logical round 1, and none after it."""
+    return dataclasses.replace(
+        _lifted_full(g, 1, scheme, seed), strategy=ScheduledControl(schedule, Strategy())
+    )
+
+
 def _lifted_two_round_states(g, m, seed):
     return _lifted_states(g, m, two_round_scheme(g, m), seed)
 
@@ -163,6 +172,14 @@ SCENARIOS = {
         complete_network(13), 2, two_round_scheme(complete_network(13), 2), 5),
     "lifted-flood-two-clique-5-9-full": lambda: _lifted_full(
         make_two_clique_network(5, 9), 1, flood_scheme(make_two_clique_network(5, 9), 1, 9), 3),
+    # the source in round 1, then relay 4 as it holds and receives in round T
+    "lifted-two-round-cmm-13-round-one-full": lambda: _lifted_round_one(
+        complete_minus_matching(13, 6), two_round_scheme(complete_minus_matching(13, 6), 1),
+        {1: {1}, 2: {4}}, 4),
+    # T=3: relay 6, then the source as it injects again, then receiver 12
+    "lifted-flood-two-clique-5-9-round-one-full": lambda: _lifted_round_one(
+        make_two_clique_network(5, 9), flood_scheme(make_two_clique_network(5, 9), 1, 9),
+        {1: {6}, 2: {1}, 3: {12}}, 4),
     "lifted-two-round-cmm-13-states": lambda: _lifted_two_round_states(
         complete_minus_matching(13, 6), 1, 7),
     "lifted-two-round-cmm-13-alphabet-3-states": lambda: _lifted_states(
@@ -257,6 +274,10 @@ PINS = {
     # and hop records became tuples
     "relay-five-set-15-3-a-full": "75e46ac2ed0d87b26166f908f03acb48a517abe53f135ace28b70b9e428afaa0",
     "relay-five-set-15-3-b-full": "f508d48aafeb0255df3230fbc8a27a823e8d637dbab34530494ce63be1d633e6",
+    # generated on the engine before lifted round 1 had a copy index of its
+    # own, when it filtered the every-sender index down to the source
+    "lifted-two-round-cmm-13-round-one-full": "0878f1a84c0eafdab6721b6340a8ee3a7b7f5ea5643d66b25fdcad1b22c685d3",
+    "lifted-flood-two-clique-5-9-round-one-full": "11b53e1dfa8437d4a31bf69bcfe7440883564dd8eeae0f7a8fdae64b1c854a39",
 }
 
 
