@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -56,7 +57,10 @@ def _build_graph(desc: str, base_dir: Path, inline_edges):
         _no_more("network", parts, 1)
         if inline_edges is None:
             raise ScenarioError("network: inline requires an [edges] section")
-        return graphs.read_edge_list(inline_edges)
+        try:
+            return graphs.read_edge_list(inline_edges)
+        except ValueError as e:
+            raise ScenarioError(f"network: {e}") from None
     if kind == "file":
         if len(parts) != 2:
             raise ScenarioError("network: file needs exactly one path")
@@ -261,10 +265,10 @@ def parse_scenario_text(text: str, base_dir: Path):
     """Parse a scenario file into ("single", Scenario) or ("pair", ScenarioPair).
     A key, or the [edges] section, given twice is an error."""
     keys = {}
-    inline_edges = None
-    section = None
+    edges_from = None  # the [edges] line; the section runs to the end
     seen = {}  # key or section -> the line that gave it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -272,11 +276,9 @@ def parse_scenario_text(text: str, base_dir: Path):
             if line != "[edges]":
                 raise ScenarioError(f"line {lineno}: unknown section {line}")
             _first_time(seen, line, lineno)
-            section = "edges"
-            inline_edges = ""
+            edges_from = lineno
             continue
-        if section == "edges":
-            inline_edges += line + "\n"
+        if edges_from is not None:
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key = value")
@@ -293,6 +295,11 @@ def parse_scenario_text(text: str, base_dir: Path):
         what = f"a {kind} pair" if kind else "a single-run"
         raise ScenarioError(f"{unknown[0]}: not a key of {what} scenario")
 
+    # blank lines stand for the ones above the section, so that an edge
+    # list error names its line in the file
+    inline_edges = None
+    if edges_from is not None:
+        inline_edges = "\n" * edges_from + "\n".join(lines[edges_from:])
     m = _parsed("m", _need(keys, "m"))
     network = _build_graph(_need(keys, "network"), base_dir, inline_edges)
     rounds = _parsed("rounds", keys["rounds"]) if "rounds" in keys else None
@@ -467,7 +474,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call and kept:
+    each `parse_args` fills a fresh namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="mobyz",
         description="Deterministic simulator for agreement under a mobile adversary",
@@ -495,8 +505,11 @@ def main(argv=None) -> int:
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_generate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as e:

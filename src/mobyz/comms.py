@@ -659,8 +659,11 @@ class LiftedProtocol:
 
 
 def lift(scheme: CommScheme, params: ProtocolParams) -> LiftedProtocol:
-    """Validate K < n/(6m) and build the lifted protocol description."""
+    """Validate K < n/(6m) and build the lifted protocol description; the
+    scheme's relays are chosen for its own m, so `params` must share it."""
     n, m, K = params.n, params.m, scheme.K
+    if m != scheme.m:
+        raise ValueError(f"protocol m={m} differs from the scheme's m={scheme.m}")
     if 6 * m * K >= n:
         raise ValueError(
             f"scheme window K={K} is not below n/(6m) = {Fraction(n, 6 * m)}"

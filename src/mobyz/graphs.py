@@ -17,6 +17,17 @@ pairs. The min-queries cap each pair at the best count found so far: a flow
 that stops below its cap is a maximum flow, and one that reaches it cannot
 improve the minimum.
 
+Both queries also stop at a lower bound on the connectivity κ, kept per
+network: n-1 for a complete network, else the larger of 2δ+2-n (two
+non-adjacent vertices share at least 2δ-(n-2) neighbours, and every
+separator between them holds all of those) and, when that is below 2, the
+0/1/2 of one low-link DFS (disconnected / a cut vertex / neither). Every
+pair's count is at least κ, adjacent pairs included, so a best count at
+the floor is the minimum, and no later pair can change it: only a strictly
+smaller count would replace the certificate. The sparse cycle, where every
+count is δ = 2, runs one flow instead of dozens, and on the dense extremal
+graphs 2δ+2-n is κ itself.
+
 The augmenting search runs over integer nodes (w_in is 2w, w_out is 2w+1),
 takes each vertex's neighbours from a table built once per network, reads
 the one edge unit entering a vertex from a map of the flow, and stops once
@@ -39,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 
 class Network:
@@ -76,6 +88,17 @@ class Network:
         return ((),) + tuple(
             tuple(2 * w for w in reversed(self._sorted_adj[v])) for v in self.vertices
         )
+
+    @cached_property
+    def _connectivity_floor(self) -> int:
+        """A lower bound on the vertex connectivity (see the module
+        docstring); built on the first connectivity query."""
+        if self.is_complete():
+            return self.n - 1
+        # two non-adjacent vertices share at least 2δ - (n-2) neighbours,
+        # and every separator between them holds all of those
+        floor = 2 * min_degree(self) + 2 - self.n
+        return floor if floor >= 2 else max(floor, _block_floor(self))
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
@@ -147,6 +170,38 @@ class PathSystem:
 
 def min_degree(g: Network) -> int:
     return min(g.degree(v) for v in g.vertices)
+
+
+def _block_floor(g: Network) -> int:
+    """0 for a disconnected network, 1 for a connected one with a cut
+    vertex, 2 otherwise: one iterative Tarjan low-link DFS from vertex 1."""
+    order = {1: 0}
+    low = {1: 0}
+    stack = [(1, iter(g.sorted_neighbors(1)))]
+    root_children = 0
+    cut = False
+    while stack:
+        v, around = stack[-1]
+        for w in around:
+            if w not in order:
+                order[w] = low[w] = len(order)
+                root_children += len(stack) == 1
+                stack.append((w, iter(g.sorted_neighbors(w))))
+                break
+            # w is an ancestor, v's parent included (the parent's test
+            # below holds at equality), or a finished descendant
+            low[v] = min(low[v], order[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                # a non-root parent cuts v's subtree off when the subtree
+                # has no edge above it
+                cut |= len(stack) > 1 and low[v] >= order[parent]
+                low[parent] = min(low[parent], low[v])
+    if len(order) < g.n:
+        return 0
+    return 1 if cut or root_children > 1 else 2
 
 
 def common_neighbors(g: Network, u: int, v: int) -> frozenset:
@@ -300,13 +355,13 @@ def vertex_connectivity(g: Network) -> int:
 
     Flows run only from a smallest-id vertex v of minimum degree to its
     non-neighbours and between its non-adjacent neighbours (see the module
-    docstring), starting from the bound min degree on non-complete graphs.
-    Complete graphs yield n-1; disconnected graphs yield 0.
+    docstring), starting from the bound min degree and stopping once the
+    count meets the network's connectivity floor. Complete graphs have no
+    such pair and yield n-1; disconnected graphs yield 0.
     """
     if g.n < 2:
         raise ValueError("connectivity needs at least two vertices")
-    if g.is_complete():
-        return g.n - 1
+    floor = g._connectivity_floor
     best = min_degree(g)
     v = next(w for w in g.vertices if g.degree(w) == best)
     around = g.sorted_neighbors(v)
@@ -315,6 +370,8 @@ def vertex_connectivity(g: Network) -> int:
         (a, b) for i, a in enumerate(around) for b in around[i + 1:] if not g.adjacent(a, b)
     ]
     for a, b in pairs:
+        if best == floor:
+            break
         best = _capped_count(g, a, b, best)
     return best
 
@@ -328,7 +385,8 @@ def source_separation(g: Network, s: int):
     separated vertex), or None when s is adjacent to every other vertex:
     only its non-neighbours can be separated from it. The pass takes the
     non-neighbours in vertex order, then the neighbours, each capped at the
-    best count so far (from the degree of s, which no count exceeds). The
+    best count so far (from the degree of s, which no count exceeds), and
+    each pass ends once its count meets the connectivity floor. The
     separated vertex is the first non-neighbour with the smallest count: the
     first flow runs uncapped, only a smaller count replaces it, and the
     common-neighbour skip starts once it exists, so its flow is a maximum
@@ -338,10 +396,13 @@ def source_separation(g: Network, s: int):
     _check_vertices(g, s)
     if g.n < 2:
         raise ValueError("source separation needs at least two vertices")
+    floor = g._connectivity_floor
     best = None  # (count, residual nodes reachable from s, separated vertex)
     for p in g.vertices:
         if p == s or g.adjacent(s, p):
             continue
+        if best is not None and best[0] == floor:
+            break
         limit = None if best is None else best[0]
         if limit is not None and len(common_neighbors(g, s, p)) >= limit:
             continue
@@ -350,6 +411,8 @@ def source_separation(g: Network, s: int):
             best = (count, reach, p)
     local = g.degree(s) if best is None else best[0]
     for p in g.sorted_neighbors(s):
+        if local == floor:
+            break
         local = _capped_count(g, s, p, local)
     if best is None:
         return local, None
@@ -461,24 +524,31 @@ def write_edge_list(g: Network) -> str:
 
 
 def read_edge_list(text: str) -> Network:
-    edges = []
-    isolated = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            ids = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"edge list line {lineno}: not vertex ids: {raw!r}") from None
-        if len(ids) == 1:
-            isolated.append(ids[0])
-        elif len(ids) == 2:
-            edges.append((ids[0], ids[1]))
-        else:
-            raise ValueError(f"edge list line {lineno}: expected 1 or 2 ids")
-    mentioned = [v for e in edges for v in e] + isolated
-    if not mentioned:
+    """Parse `write_edge_list`'s format; `#` starts a comment. One pass
+    splits the rows, and one `map` converts the edge rows' ids and another
+    the isolated ones; only a text that fails is read again row by row, for
+    its first bad line."""
+    lines = text.splitlines()
+    rows = [line.partition("#")[0].split() for line in lines]
+    try:
+        edge_ids = list(map(int, chain.from_iterable([row for row in rows if len(row) == 2])))
+        ids = edge_ids + list(map(int, [row[0] for row in rows if len(row) == 1]))
+    except ValueError:
+        ids = None
+    # a row of three or more ids is in neither list
+    if ids is None or len(ids) != sum(map(len, rows)):
+        _raise_first_bad_line(lines, rows)
+    if not ids:
         raise ValueError("empty edge list")
-    return Network(max(mentioned), edges)
+    ends = iter(edge_ids)
+    return Network(max(ids), zip(ends, ends))
+
+
+def _raise_first_bad_line(lines, rows) -> None:
+    for lineno, (line, row) in enumerate(zip(lines, rows), start=1):
+        try:
+            list(map(int, row))
+        except ValueError:
+            raise ValueError(f"edge list line {lineno}: not vertex ids: {line!r}") from None
+        if len(row) > 2:
+            raise ValueError(f"edge list line {lineno}: expected 1 or 2 ids")

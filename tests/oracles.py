@@ -1,9 +1,9 @@
 """Brute-force oracles, independent of the implementations under test: the
-per-round protocol rules, the flow-based graph queries, the reference
-max-flow search, the lifted transfer back-end, a decode of every transfer
-from the lifted back-end's state, and the trace writer; also the honest
-rule's adapter for an explicit list of received pairs, which only tests
-call."""
+per-round protocol rules, the flow-based graph queries, the line-by-line
+edge-list reader, the reference max-flow search, the lifted transfer
+back-end, a decode of every transfer from the lifted back-end's state, and
+the trace writer; also the honest rule's adapter for an explicit list of
+received pairs, which only tests call."""
 
 import itertools
 import json
@@ -44,6 +44,32 @@ def brute_vertex_connectivity(g):
         for v in range(u + 1, g.n + 1)
         if not g.adjacent(u, v)
     )
+
+
+def reference_read_edge_list(text):
+    """The edge-list reader as it was, line by line: `graphs.read_edge_list`
+    must build the same network and raise the same errors."""
+    edges = []
+    isolated = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            ids = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"edge list line {lineno}: not vertex ids: {raw!r}") from None
+        if len(ids) == 1:
+            isolated.append(ids[0])
+        elif len(ids) == 2:
+            edges.append((ids[0], ids[1]))
+        else:
+            raise ValueError(f"edge list line {lineno}: expected 1 or 2 ids")
+    mentioned = [v for e in edges for v in e] + isolated
+    if not mentioned:
+        raise ValueError("empty edge list")
+    return Network(max(mentioned), edges)
 
 
 # --- reference max flow: a tuple-encoded augmenting search. Nodes are

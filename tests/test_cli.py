@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,30 @@ def test_run_inline_edges(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("section, row, message", [
+    ("1 2\n1 two\n", 2, "not vertex ids: '1 two'"),
+    ("1 two\n", 1, "not vertex ids: '1 two'"),
+    ("\n# the graph\n1 two  # bad\n", 3, "not vertex ids: '1 two  # bad'"),
+    ("1 2 3\n", 1, "expected 1 or 2 ids"),
+    ("", None, "empty edge list"),
+    ("1 1\n", None, "self-loop at 1"),
+], ids=["second-line", "not-an-id", "after-blank-and-comment", "three-ids", "empty", "self-loop"])
+@pytest.mark.parametrize("kind", ["single-run", "cut-set"])
+def test_run_reports_a_malformed_inline_edge_list(tmp_path, capsys, section, row, message, kind):
+    # a bad row is named by its line in the scenario file
+    head = "# inline\n\nnetwork = inline\nm = 1\n"
+    if kind == "cut-set":
+        head += "pair = cut-set\ncut = 2\nobserver = 3\n"
+    if row is not None:
+        line = head.count("\n") + 1 + row  # the [edges] line, then the row
+        message = f"edge list line {line}: {message}"
+    scenario = write(tmp_path, "s.txt", head + "[edges]\n" + section)
+    code, stdout, err = invoke(capsys, "run", scenario)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"scenario error: network: {message}"]
+
+
 def test_analyze_impossible_with_certificate(tmp_path, capsys):
     g = graphs.make_two_clique_network(4, 4)
     path = write(tmp_path, "g.edges", graphs.write_edge_list(g))
@@ -284,6 +311,32 @@ def test_analyze_stdout_pin(name, tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "analyze", path, "-m", str(m), "--source", str(source))
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+def test_the_kept_parser_carries_nothing_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    g = graphs.make_two_clique_network(10, 8)
+    path = write(tmp_path, "g.edges", graphs.write_edge_list(g))
+    for argv, name in (([], "two-clique 10 8 m=2"),
+                       (["--source", "12"], "two-clique 10 8 m=2 source 12"),
+                       ([], "two-clique 10 8 m=2")):
+        code, stdout, _ = invoke(capsys, "analyze", path, "-m", "2", *argv)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == ANALYZE_PINS[name][3], argv
+    out = tmp_path / "c5.edges"
+    assert invoke(capsys, "generate", "cycle", "5", "-o", str(out))[:2] == (
+        0, f"wrote 5 vertices, 5 edges to {out}\n")
+    code, stdout, _ = invoke(capsys, "generate", "complete", "4")
+    assert (code, stdout) == (0, graphs.write_edge_list(graphs.complete_network(4)))
+    code, stdout, _ = invoke(capsys, "run", write(tmp_path, "s.txt", BASELINE))
+    assert code == 0 and "agreement: pass" in stdout
+
+
+def test_the_parser_is_not_built_at_import():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "from mobyz import cli\nraise SystemExit(cli._parser.cache_info().currsize)\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("edges, argv, message", [

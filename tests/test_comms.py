@@ -414,6 +414,16 @@ def test_lift_rejects_wide_windows():
     assert lift(FakeScheme(), ProtocolParams(n=25, m=1)).params.fault_unit == 3
 
 
+def test_lift_rejects_a_protocol_m_other_than_the_schemes():
+    # the scheme's relays are chosen for m = 1 (4m+1 = 5 common neighbours);
+    # fault unit 2 over them was once built without complaint
+    scheme = two_round_scheme(make_two_clique_network(4, 5), 1)
+    for m in (2, 0):
+        with pytest.raises(ValueError, match=f"protocol m={m} differs from the scheme's m=1"):
+            lift(scheme, ProtocolParams(n=13, m=m))
+    assert lift(scheme, ProtocolParams(n=13, m=1)).params.fault_unit == 1
+
+
 # --- sufficiency bounds --------------------------------------------------------
 
 

@@ -28,7 +28,12 @@ from mobyz import (
 )
 
 
-from oracles import brute_vertex_connectivity, reference_augment
+from oracles import (
+    brute_local_connectivity,
+    brute_vertex_connectivity,
+    reference_augment,
+    reference_read_edge_list,
+)
 
 
 # --- basic queries -----------------------------------------------------------
@@ -207,6 +212,154 @@ def test_edge_list_isolated_vertices_and_errors():
         read_edge_list("")
 
 
+def _read_or_error(read, text):
+    try:
+        g = read(text)
+    except ValueError as e:
+        return "error", str(e)
+    return g.n, g.edges()
+
+
+EDGE_LIST_CASES = {
+    "blank lines": "1 2\n\n   \n2 3\n",
+    "comments": "# a triangle\n1 2\n# more\n2 3\n3 1\n",
+    "trailing comments": "1 2 # first\n2 3#second\n4 # 5 6 7\n",
+    "crlf": "1 2\r\n2 3\r\n\r\n4\r\n",
+    "isolated ids": "1 2\n7\n4\n2 5\n",
+    "only isolated ids": "3\n",
+    "tabs and vertical tab": "\t1\t 2  \x0b2 3\n",
+    "three ids": "1 2\n1 2 3\n",
+    "not an id": "1 2\n1 two\n",
+    "bad id before three ids": "1 x\n1 2 3\n",
+    "three words, one not an id": "1 2 x\n",
+    "three ids before a bad id": "1 2 3\n1 x\n",
+    "comment only": "# nothing here\n   # nor here\n",
+    "empty": "",
+    "self-loop": "1 2\n3 3\n",
+    "vertex zero": "0 1\n",
+    "negative isolated id": "-2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LIST_CASES))
+def test_edge_list_reader_matches_the_line_by_line_reader(name):
+    text = EDGE_LIST_CASES[name]
+    assert _read_or_error(read_edge_list, text) == _read_or_error(reference_read_edge_list, text)
+
+
+def test_edge_list_reader_matches_on_seeded_random_lists():
+    """Written random graphs with comments, blank lines, CRLF, swapped ends
+    and isolated ids, and lines of random tokens."""
+    rng = random.Random(19)
+    tokens = ["1", "2", "3", "9", "0", "-1", "+4", "x", "#", "#c", "", "\t"]
+    outcomes = set()
+    for _ in range(400):
+        if rng.random() < 0.5:
+            n = rng.randint(1, 12)
+            lines = write_edge_list(Network(n, [
+                (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4
+            ])).splitlines()
+            rng.shuffle(lines)
+            lines = [" ".join(reversed(line.split())) if rng.random() < 0.3 else line
+                     for line in lines]
+            for _ in range(rng.randint(0, 3)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# c", str(n + 2)]))
+            lines = [line + " # note" if rng.random() < 0.2 else line for line in lines]
+        else:
+            lines = [" ".join(rng.choice(tokens) for _ in range(rng.randint(0, 4)))
+                     for _ in range(rng.randint(0, 6))]
+        text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+        expected = _read_or_error(reference_read_edge_list, text)
+        assert _read_or_error(read_edge_list, text) == expected, text
+        outcomes.add(expected[0] == "error")
+    assert outcomes == {False, True}
+
+
+# --- the connectivity floor ------------------------------------------------------
+
+
+def _without_floor(g):
+    """A copy of g whose floor no count meets, so every pass runs in full."""
+    h = Network(g.n, g.edges())
+    h.__dict__["_connectivity_floor"] = -1
+    return h
+
+
+def _assert_floor_sound(g):
+    """The floor is at most kappa, and the queries that stop at it give
+    what brute force gives and what they give without it."""
+    kappa = brute_vertex_connectivity(g)
+    assert g._connectivity_floor <= kappa, g.edges()
+    local = {}
+    for s in g.vertices:
+        for p in range(s + 1, g.n + 1):
+            local[s, p] = local[p, s] = brute_local_connectivity(g, s, p)
+    full = _without_floor(g)
+    assert vertex_connectivity(g) == vertex_connectivity(full) == kappa, g.edges()
+    for s in g.vertices:
+        got = source_separation(g, s)
+        assert got[0] == min(local[s, p] for p in g.vertices if p != s), (g.edges(), s)
+        assert got == source_separation(full, s), (g.edges(), s)
+    return kappa
+
+
+def test_connectivity_floor_is_sound_on_seeded_random_graphs():
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8, 1.0])
+        g = Network(n, [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+        ])
+        kappa = _assert_floor_sound(g)
+        if g.is_complete():
+            kinds.add("complete")
+        elif kappa < 2:
+            kinds.add(("disconnected", "cut vertex")[kappa])
+        elif 2 * min_degree(g) + 2 - n < 2:
+            kinds.add("floor from the DFS")
+    assert kinds == {"complete", "disconnected", "cut vertex", "floor from the DFS"}
+
+
+def test_connectivity_floor_is_sound_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    for G in graph_atlas_g():
+        if G.number_of_nodes() >= 2 and nx.is_connected(G):
+            _assert_floor_sound(
+                Network(G.number_of_nodes(), [(a + 1, b + 1) for a, b in G.edges()]))
+
+
+def test_connectivity_floor_examples():
+    assert complete_network(6)._connectivity_floor == 5
+    assert cycle_network(40)._connectivity_floor == 2  # from the DFS
+    assert star_network(6)._connectivity_floor == 1  # the centre is a cut vertex
+    assert Network(4, [(1, 2), (3, 4)])._connectivity_floor == 0
+    assert Network(3, [(1, 2)])._connectivity_floor == 0  # vertex 3 is isolated
+    # 2δ+2-n is kappa itself on the dense extremal graphs
+    assert make_two_clique_network(8, 4)._connectivity_floor == 4
+    assert complete_minus_matching(19, 9)._connectivity_floor == 17
+    # a cut vertex at the DFS root (vertex 1 joins two triangles) and below it
+    bowtie = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
+    assert Network(5, bowtie)._connectivity_floor == 1
+    assert Network(6, [(6, 1)] + bowtie)._connectivity_floor == 1
+
+
+def test_connectivity_stops_at_the_floor_on_the_cycle(monkeypatch):
+    # every count on a cycle is 2: one flow for the certificate, none more
+    flows = []
+    real_flow, real_capped = graphs._max_disjoint_flow, graphs._capped_count
+    monkeypatch.setattr(graphs, "_max_disjoint_flow",
+                        lambda *a: flows.append(a[1:3]) or real_flow(*a))
+    monkeypatch.setattr(graphs, "_capped_count", lambda *a: flows.append(a[1:3]) or real_capped(*a))
+    g = cycle_network(40)
+    assert vertex_connectivity(g) == 2
+    assert source_separation(g, 1) == (2, (2, frozenset({2, 40}), 3))
+    assert flows == [(1, 3)]
+
+
 # --- connectivity against networkx and a flow-identity pin ---------------------
 
 
@@ -289,6 +442,15 @@ def test_separator_certificate_matches_networkx():
             assert size == min(local_node_connectivity(G, s, q) for q in far)
             assert len(cut) == size and s not in cut and p in far
             assert not g.connected_avoiding(s, p, cut)
+
+
+def test_connectivity_floor_changes_no_answer_on_larger_graphs():
+    rng = random.Random(8)
+    for g in _differential_catalogue():
+        full = _without_floor(g)
+        assert vertex_connectivity(g) == vertex_connectivity(full), g.edges()
+        for s in sorted({1, *rng.sample(range(1, g.n + 1), 2)}):
+            assert source_separation(g, s) == source_separation(full, s), (g.edges(), s)
 
 
 def test_max_flow_leaves_no_passage_without_edges():
