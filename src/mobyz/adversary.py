@@ -407,6 +407,11 @@ def cut_set_pair(
     plant is the liar's own current state.
     """
     cut = sorted(set(cut))
+    if not 1 <= observer <= g.n:
+        raise ValueError(f"observer {observer} lies outside the network 1..{g.n}")
+    for p in cut:
+        if not 1 <= p <= g.n:
+            raise ValueError(f"cut member {p} lies outside the network 1..{g.n}")
     if s != SOURCE:
         raise ValueError("processor 1 is the source by convention")
     if s in cut:

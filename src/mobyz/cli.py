@@ -89,7 +89,17 @@ _STRATEGY_WORDS = {"none": 1, "random": 1, "static": 3, "alternating": 4}
 _STATIC_RULE_PARTS = {"random": 1, "constant": 2, "split": 3}
 
 
-def _build_strategy(desc: str, m: int):
+def _lie(key: str, text: str, alphabet: int):
+    """A value the file names for a lie: a plain symbol of the alphabet."""
+    value = _parsed(key, text, parse_value, "a value")
+    if not value.is_plain or value.symbol >= alphabet:
+        raise ScenarioError(
+            f"{key}: lie {text} is not a plain symbol of the alphabet 0..{alphabet - 1}"
+        )
+    return value
+
+
+def _build_strategy(desc: str, m: int, alphabet: int):
     parts = _words("strategy", desc)
     kind = parts[0]
     if kind not in _STRATEGY_WORDS:
@@ -112,14 +122,14 @@ def _build_strategy(desc: str, m: int):
                         f"strategy: static rule {bits[0]} takes "
                         f"{_STATIC_RULE_PARTS[bits[0]] - 1} value(s): {parts[2]!r}"
                     )
-                rule = (bits[0], *map(parse_value, bits[1:]))
+                rule = (bits[0], *(_lie("strategy", bit, alphabet) for bit in bits[1:]))
             return adversary.StaticControl(members, m, rule)
         odd = _parse_ids(parts[1])
         even = _parse_ids(parts[2])
         name, _, fake = parts[3].partition("=")
         if name != "fake":
             raise ScenarioError(f"strategy: alternating needs fake=V, not {parts[3]!r}")
-        return adversary.AlternatingControl(odd, even, parse_value(fake), m)
+        return adversary.AlternatingControl(odd, even, _lie("strategy", fake, alphabet), m)
     except ScenarioError:
         raise
     except (IndexError, ValueError) as e:
@@ -172,7 +182,7 @@ def _build_pair(kind: str, keys: dict, network, m: int, rounds):
                 n=network.n,
                 m=m,
                 source_value=_symbol(keys, "source-value", "1"),
-                fake_value=_symbol(keys, "fake-value", "0"),
+                fake_value=_lie("fake-value", keys.get("fake-value", "0"), 2),
                 rounds=rounds,
                 swap=swap == "true",
             )
@@ -244,7 +254,7 @@ def _build_single(keys: dict, network, m: int, rounds):
             network=network,
             m=m,
             source_value=source_value,
-            strategy=_build_strategy(keys.get("strategy", "none"), m),
+            strategy=_build_strategy(keys.get("strategy", "none"), m, alphabet),
             mode=mode,
             lifted=lifted,
             alphabet_size=alphabet,
@@ -320,6 +330,13 @@ def _load_scenario(path: str):
 # --- subcommands ------------------------------------------------------------------
 
 
+def _checked(trace, scenario) -> tuple:
+    """(verdict, crystallization-claim violations) of a single run; the claim
+    is the agreement protocol's, so a relay run has none."""
+    claims = [] if scenario.mode == "relay" else sim.check_support_claim(trace, scenario)
+    return sim.check_agreement(trace, scenario), claims
+
+
 def cmd_run(args) -> int:
     kind, obj = _load_scenario(args.scenario)
     outdir = Path(args.output) if args.output else None
@@ -344,7 +361,7 @@ def cmd_run(args) -> int:
         print(f"DISTINGUISHABLE: first divergence round {rno}, observer {obs}, {field}")
         return 1
     trace = sim.run(obj)
-    verdict = sim.check_agreement(trace, obj)
+    verdict, claims = _checked(trace, obj)
     if outdir:
         (outdir / "trace.jsonl").write_text(trace.to_text())
         (outdir / "verdict.json").write_text(
@@ -359,9 +376,11 @@ def cmd_run(args) -> int:
         print(f"stable from round: {verdict.first_stable_round}")
     for v in verdict.guarantee_violations:
         print(f"guarantee violation: {v}")
+    for v in claims:
+        print(f"support claim violation: {v}")
     for note in verdict.notes:
         print(f"note: {note}")
-    return 0 if verdict.ok else 1
+    return 0 if verdict.ok and not claims else 1
 
 
 def cmd_analyze(args) -> int:
@@ -431,25 +450,24 @@ def cmd_campaign(args) -> int:
         print("error: campaigns need a single-run scenario", file=sys.stderr)
         return 2
     seeds = range(args.seeds) if args.seeds is not None else [base.seed]
-    tally = {"pass": 0, "fail": 0, "vacuous": 0}
+    tallies = {name: dict.fromkeys(("pass", "vacuous", "fail"), 0)
+               for name in ("agreement", "validity")}
     failing = []
     for seed in seeds:
         scenario = dataclasses.replace(base, seed=seed, trace_level="states")
-        verdict = sim.check_agreement(sim.run(scenario), scenario)
-        if not verdict.ok:
-            tally["fail"] += 1
-            failing.append((seed, verdict))
-        elif "vacuous" in (verdict.agreement, verdict.validity):
-            tally["vacuous"] += 1
-        else:
-            tally["pass"] += 1
-    total = len(seeds)
-    print(f"seeds: {total}   pass: {tally['pass']}   "
-          f"vacuous: {tally['vacuous']}   fail: {tally['fail']}")
+        verdict, claims = _checked(sim.run(scenario), scenario)
+        tallies["agreement"][verdict.agreement] += 1
+        tallies["validity"][verdict.validity] += 1
+        if not verdict.ok or claims:
+            failing.append((seed, verdict, claims))
+    print(f"seeds: {len(seeds)}   fail: {len(failing)}")
+    for name, tally in tallies.items():
+        print(f"{name}: " + "   ".join(f"{outcome} {count}" for outcome, count in tally.items()))
     if failing:
-        seed, verdict = failing[0]
+        seed, verdict, claims = failing[0]
         print(f"first failing seed: {seed}")
-        for line in [*verdict.guarantee_violations, *verdict.notes]:
+        claim = [f"support claim violation: {claims[0]}"] if claims else []
+        for line in [*verdict.guarantee_violations, *claim, *verdict.notes]:
             print(f"  {line}")
         return 1
     return 0

@@ -76,6 +76,12 @@ rewrites. Every lie is drawn from the run's one `random.Random(seed)`;
 `StepContext` draws a random value with the `getrandbits` calls
 `rng.choice` would make, and a batch of k payloads as k such draws in one
 loop, so the stream, and with it every trace, is the one `choice` gives.
+
+The run checkers are one step over a logical round, `check_round`, which
+reads only the controlled sets of its physical rounds and its end states,
+and a final step, `check_final`. `check_agreement` and
+`check_support_claim` fold them over a finished trace; a schedule search
+calls the step between `logical_round` calls instead.
 """
 
 from __future__ import annotations
@@ -746,63 +752,79 @@ class Verdict:
         }
 
 
-def _round_window(scenario: Scenario, R: int):
-    """Physical rounds processor R must stay honest through to anchor the
-    guarantee from logical round 2R on.
+def check_round(scenario: Scenario, carry: tuple, lr: int, sets, states: dict) -> tuple:
+    """The checkers' step over logical round `lr`: (carry, guarantee
+    violation, claim violation, anchored pivot) from the carry before it, the
+    controlled sets of its T physical rounds and its end states (pid ->
+    state, in pid order). The carry starts as (None, None); an output is
+    None when the round gives none.
 
-    The bare hypothesis (`check_support_claim`) is that the pivot of rounds
-    2R-2 and 2R-1, processor R, is honest through both. What the other
-    processors read of it there is what it sends: its pair of round 2R-2,
-    which every receiver reads as that round's pivot high, and its pair of
-    round 2R-1, computed by its pivot-threshold update at the end of round
-    2R-2. Its own update at the end of round 2R-1 only decides whether it
-    is itself covered. A transfer of logical round r (physical rounds
-    (r-1)T+1 .. rT) delivers the sender's payload when the sender is honest
-    in its first K rounds and the receiver in its last K (criterion 6). So R
-    must be honest while it sends in round 2R-2, (2R-3)T+1 .. (2R-3)T+K,
-    while it receives in round 2R-2, (2R-2)T-K+1 .. (2R-2)T, and while it
-    sends in round 2R-1, (2R-2)T+1 .. (2R-2)T+K. With T = K = 1 these are
-    the bare rounds 2R-2 and 2R-1. The source (R = 1) only sends, in round
-    1: rounds 1 .. K.
-    """
-    T, K = scenario.T, scenario.K
-    if R == 1:
-        return list(range(1, K + 1))
-    first_sends = range((2 * R - 3) * T + 1, (2 * R - 3) * T + K + 1)
-    receipt_and_second_sends = range((2 * R - 2) * T - K + 1, (2 * R - 2) * T + K + 1)
-    return sorted(set(first_sends) | set(receipt_and_second_sends))
+    The carry is all the checkers keep of earlier rounds: what anchors the
+    round-2R guarantee (None, "source" or "pivot") and the pivot whose
+    window is under way, if it has been honest in it so far. A transfer of
+    a logical round delivers the sender's payload when the sender is honest
+    in its first K physical rounds and the receiver in its last K
+    (criterion 6), so round lr covers the processors not controlled in its
+    last K. Once the guarantee is anchored, those must end round lr with
+    one decision, the source value when the source anchored it.
+
+    Round lr is in the window of pivot R = lr // 2 + 1 (if R <= n), the
+    physical rounds R must stay honest through to anchor the guarantee from
+    round 2R on. The hypothesis is that the pivot of logical rounds 2R-2
+    and 2R-1, processor R, is honest through both. What the others read of
+    it there is what it sends: its pair of round 2R-2, which every receiver
+    reads as that round's pivot high, and its pair of round 2R-1, computed
+    by its pivot-threshold update at the end of round 2R-2. Its own update
+    at the end of round 2R-1 only decides whether it is itself covered. So
+    R must be honest in the first K rounds of 2R-2 (sending), its last K
+    (receiving) and the first K of 2R-1 (sending); with T = K = 1 these are
+    the bare rounds 2R-2 and 2R-1. The source (R = 1) only sends, in the
+    first K rounds of round 1. The first pivot honest through its window
+    anchors the guarantee, and the step that ends the window returns it.
+    For every such pivot R >= 2 the crystallization claim holds: the
+    processors round 2R-1 covers end it with one common (high, medium)
+    value whose halves are equal."""
+    anchor, watching = carry
+    R, K = lr // 2 + 1, scenario.K
+    faulty = frozenset().union(*sets[-K:])
+    ends = [state for p, state in states.items() if p not in faulty]  # of the covered
+    guarantee = claim = anchored = None
+    if anchor is not None:
+        values = {state.decided for state in ends}
+        if len(values) > 1 or values == {None}:
+            covered = [p for p in states if p not in faulty]
+            guarantee = f"round {lr}: decisions {sorted(map(str, values))} among {covered}"
+        elif anchor == "source" and values and values != {scenario.source_value}:
+            guarantee = f"round {lr}: decided {values.pop()} instead of the source value"
+    if R > scenario.n:
+        return (anchor, None), guarantee, None, None
+    sending = lr % 2 == 0  # round 2R-2: R sends, then receives
+    window = sets[:K] + sets[-K:] if sending else sets[:K]
+    honest = (sending or lr == 1 or watching == R) and R not in frozenset().union(*window)
+    if sending:
+        return (anchor, R if honest else None), guarantee, None, None
+    if honest and R >= 2:
+        # one (high, medium) value with equal halves: one value among all halves
+        if len({state.high for state in ends} | {state.medium for state in ends}) > 1:
+            claim = f"R={R}: round {lr} summaries " + ", ".join(
+                f"p{p}=({states[p].high},{states[p].medium})" for p in states if p not in faulty)
+    if honest and anchor is None:
+        anchor, anchored = "source" if R == 1 else "pivot", R
+    return (anchor, None), guarantee, claim, anchored
 
 
-def _logical_guard(scenario: Scenario, r: int):
-    """Physical rounds a processor must be honest through for round r's
-    common-value guarantee to cover it."""
-    T, K = scenario.T, scenario.K
-    return list(range(r * T - K + 1, r * T + 1))
-
-
-def _covered(trace: Trace, scenario: Scenario, r: int) -> list:
-    """The processors honest through logical round r's `_logical_guard`,
-    in pid order: the ones round r's guarantee covers."""
-    faulty = frozenset().union(
-        *(trace.controlled_in(rho) for rho in _logical_guard(scenario, r))
-    )
-    return [p for p in range(1, scenario.n + 1) if p not in faulty]
-
-
-def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
-    """Evaluate both agreement conditions and the round-2R stability guarantee."""
-    n = scenario.n
-    ever = trace.ever_controlled()
-    never_faulty = [p for p in range(1, n + 1) if p not in ever]
-    final = trace.final_states()
+def check_final(scenario: Scenario, ever, states: dict, fallbacks: int) -> tuple:
+    """(agreement, validity, agreed value, notes) of a run that controlled
+    the processors `ever` at some time, ended in `states` and counted
+    `fallbacks` decode fallbacks."""
+    never_faulty = [p for p in states if p not in ever]
     notes = []
-
     agreed_value = None
     if not never_faulty:
         agreement = "vacuous"
         notes.append("every processor was controlled at least once")
     else:
-        decisions = {final[p].decided for p in never_faulty}
+        decisions = {states[p].decided for p in never_faulty}
         if len(decisions) == 1:
             agreement = "pass"
             agreed_value = decisions.pop()
@@ -812,17 +834,13 @@ def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
             agreement = "fail"
             notes.append(
                 "never-faulty decisions differ: "
-                + ", ".join(
-                    f"p{p}={final[p].decided}" for p in never_faulty
-                )
+                + ", ".join(f"p{p}={states[p].decided}" for p in never_faulty)
             )
-
-    if trace.decode_fallbacks:
+    if fallbacks:
         notes.append(
-            f"{trace.decode_fallbacks} transfer decodes lacked a strict "
+            f"{fallbacks} transfer decodes lacked a strict "
             f"majority (window-breaking faults); deterministic fallback used"
         )
-
     if SOURCE in ever:
         validity = "vacuous"
     elif agreement != "pass":
@@ -832,71 +850,45 @@ def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
     else:
         validity = "fail"
         notes.append(f"agreed {agreed_value}, source sent {scenario.source_value}")
+    return agreement, validity, agreed_value, notes
 
-    first_stable = None
-    violations = []
-    if scenario.params is not None:  # the guarantee is the agreement protocol's
-        T = scenario.T
-        logical_rounds = scenario.rounds // T
-        R_found = None
-        for R in range(1, n + 1):
-            if 2 * R > logical_rounds:
-                break
-            window = _round_window(scenario, R)
-            if all(R not in trace.controlled_in(rho) for rho in window):
-                R_found = R
-                break
-        if R_found is not None:
-            first_stable = 2 * R_found
-            for r in range(first_stable, logical_rounds + 1):
-                covered = _covered(trace, scenario, r)
-                end_states = trace.rounds[r * T - 1].states_after
-                values = {end_states[p].decided for p in covered}
-                if len(values) > 1 or (covered and values == {None}):
-                    violations.append(
-                        f"round {r}: decisions {sorted(map(str, values))} among {covered}"
-                    )
-                elif R_found == 1 and covered and values != {scenario.source_value}:
-                    violations.append(
-                        f"round {r}: decided {values.pop()} instead of the source value"
-                    )
 
-    return Verdict(
-        agreement=agreement,
-        validity=validity,
-        agreed_value=agreed_value,
-        first_stable_round=first_stable,
-        guarantee_violations=violations,
-        notes=notes,
+def _checked_rounds(trace: Trace, scenario: Scenario):
+    """`check_round` folded over the logical rounds of `trace`: (guarantee
+    violation, claim violation, anchored pivot) for each."""
+    T, carry = scenario.T, (None, None)
+    controlled = [rt.controlled for rt in trace.rounds]
+    for lr in range(1, scenario.rounds // T + 1):
+        states = trace.rounds[lr * T - 1].states_after
+        carry, guarantee, claim, anchored = check_round(
+            scenario, carry, lr, controlled[(lr - 1) * T : lr * T], states
+        )
+        yield guarantee, claim, anchored
+
+
+def check_agreement(trace: Trace, scenario: Scenario) -> Verdict:
+    """Evaluate both agreement conditions (`check_final`) and the round-2R
+    stability guarantee (`check_round` over the trace)."""
+    agreement, validity, agreed_value, notes = check_final(
+        scenario, trace.ever_controlled(), trace.final_states(), trace.decode_fallbacks
     )
+    first_stable, violations = None, []
+    if scenario.params is not None:  # the guarantee is the agreement protocol's
+        last = scenario.rounds // scenario.T
+        for guarantee, _, anchored in _checked_rounds(trace, scenario):
+            if guarantee:
+                violations.append(guarantee)
+            if anchored and 2 * anchored <= last:  # round 2R is in the run
+                first_stable = 2 * anchored
+    return Verdict(agreement, validity, agreed_value, first_stable, violations, notes)
 
 
 def check_support_claim(trace: Trace, scenario: Scenario) -> list:
-    """Violations of the crystallization claim: for every R >= 2 whose
-    pivot, processor R, is honest through its `_round_window`, all
-    processors honest through logical round 2R-1's `_logical_guard` must end
-    that round with one common (high, medium) value. In a bare run these are
-    rounds 2R-2 and 2R-1, and round 2R-1."""
+    """Violations of the crystallization claim (`check_round`), in round
+    order."""
     if scenario.params is None:
         raise ValueError("the claim applies to the agreement protocol, not relay mode")
-    n, T = scenario.n, scenario.T
-    violations = []
-    for R in range(2, n + 1):
-        r = 2 * R - 1
-        if r > scenario.rounds // T:
-            break
-        if any(R in trace.controlled_in(rho) for rho in _round_window(scenario, R)):
-            continue
-        honest = _covered(trace, scenario, r)
-        states = trace.rounds[r * T - 1].states_after
-        summary = {(states[p].high, states[p].medium) for p in honest}
-        pairs_equal = all(states[p].high == states[p].medium for p in honest)
-        if len(summary) > 1 or not pairs_equal:
-            violations.append(
-                f"R={R}: round {r} summaries "
-                + ", ".join(f"p{p}=({states[p].high},{states[p].medium})" for p in honest)
-            )
-    return violations
+    return [claim for _, claim, _ in _checked_rounds(trace, scenario) if claim]
 
 
 # --- indistinguishability ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exhaustive search over a mobile adversary's control schedules, stepping
-the engine's own round transition, `sim.logical_round`.
+the engine's own round transition, `sim.logical_round`, and the checkers'
+own round step, `sim.check_round`.
 
 The lie is `CounterfactualBehavior`: a controlled processor sends and keeps
 what it would in the fault-free world of a fake source value. That lie
@@ -7,21 +8,19 @@ depends only on the round and the pid (see `logical_round`), so two runs that
 reach the same states in the same round continue alike under every schedule,
 and the search merges them. A configuration after round r holds
   - the states, interned, in pid order;
-  - what the checkers still read of rounds 1..r: whether the round-2R
-    guarantee is anchored, and by the source or a later pivot (the first
-    pivot R honest through its `_round_window`), and the pivot whose window
-    is under way, if it has been honest in it so far;
-  - the processors ever controlled. Per (states, checker data) only the
-    minimal sets are kept: a smaller set makes the final agreement and
-    validity checks stricter, and inclusion holds on after every step;
+  - the checkers' carry after round r (`check_round`): what anchors the
+    round-2R guarantee, if anything, and the pivot whose window is under
+    way, if it has been honest in it so far;
+  - the processors ever controlled. Per (states, carry) only the minimal
+    sets are kept: a smaller set makes the final agreement and validity
+    checks (`sim.check_final`) stricter, and inclusion holds on after every
+    step;
   - a witness schedule that reaches it.
-The rest of what `check_agreement` and `check_support_claim` read is checked
-as each round is stepped: the covered decisions of every round from the
-anchored one on, and the summaries of each honest pivot's crystallization
-round. A schedule fails there exactly when its run fails the full verdict
-or the support claim. A configuration that fails is not stepped further; it
-is reported with its witness, which `replay` runs through the real engine
-and checkers.
+`check_agreement` and `check_support_claim` are folds of the same step, so
+a schedule fails a step exactly when its run fails the full verdict or the
+support claim in that round. A configuration that fails is not stepped
+further; it is reported with its witness, which `replay` runs through the
+real engine and checkers.
 """
 
 import copy
@@ -30,7 +29,6 @@ import random
 from dataclasses import dataclass, field
 
 from mobyz import (
-    SOURCE,
     ProcessorState,
     ScheduledControl,
     Trace,
@@ -39,7 +37,7 @@ from mobyz import (
     run,
 )
 from mobyz.adversary import CounterfactualBehavior
-from mobyz.sim import _round_window, logical_round
+from mobyz.sim import check_final, check_round, logical_round
 
 
 @dataclass
@@ -52,58 +50,6 @@ class Exploration:
 
     configs: list = field(default_factory=list)
     bad: list = field(default_factory=list)
-
-
-class _Checks:
-    """`check_agreement` and `check_support_claim` of a bare scenario, one
-    round at a time. In a bare run a logical round is one physical round, so
-    round r's `_logical_guard` is [r]: the processors it covers are those not
-    controlled in round r."""
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-        self.windows = {R: _round_window(scenario, R) for R in range(1, scenario.n + 1)}
-        self.pivot_of = {rho: R for R, window in self.windows.items() for rho in window}
-
-    def step(self, carry, r: int, controlled, states: dict) -> tuple:
-        """(the checker data after round r, the violations the checkers
-        report of it), from the data before it, its controlled set and its
-        end states."""
-        anchor, watching = carry
-        sc = self.scenario
-        covered = [p for p in states if p not in controlled]
-        failed = []
-        if anchor is not None:
-            values = {states[p].decided for p in covered}
-            if len(values) > 1 or (covered and values == {None}):
-                failed.append(f"round {r}: decisions {sorted(map(str, values))} among {covered}")
-            elif anchor == "source" and covered and values != {sc.source_value}:
-                failed.append(f"round {r}: decided {values.pop()} instead of the source value")
-        R = self.pivot_of.get(r)
-        window = self.windows.get(R, ())
-        honest = bool(window) and R not in controlled and (r == window[0] or watching == R)
-        if not window or r != window[-1]:
-            return (anchor, R if honest else None), failed
-        if honest and R >= 2:
-            summary = {(states[p].high, states[p].medium) for p in covered}
-            if len(summary) > 1 or any(high != medium for high, medium in summary):
-                failed.append(f"R={R}: round {r} summaries " + ", ".join(
-                    f"p{p}=({states[p].high},{states[p].medium})" for p in covered))
-        if honest and anchor is None:  # checked from round 2R on, if the run has it
-            anchor = "source" if R == 1 else "pivot"
-        return (anchor, None), failed
-
-    def final(self, ever, states: dict) -> tuple:
-        """(agreement, validity) as `check_agreement` gives them for a run
-        that controlled `ever` and ended in `states`."""
-        never = [p for p in states if p not in ever]
-        decisions = {states[p].decided for p in never}
-        agreement = "vacuous" if not never else "pass" if len(decisions) == 1 else "fail"
-        if SOURCE in ever:
-            return agreement, "vacuous"
-        if agreement != "pass" or decisions != {self.scenario.source_value}:
-            return agreement, "fail"
-        return agreement, "pass"
 
 
 def _keep_minimal(entries: list, ever, schedule) -> None:
@@ -139,7 +85,7 @@ def explore(scenario, control_sets=None) -> Exploration:
         control_sets = lambda r: every  # noqa: E731
     stepped = copy.copy(scenario)  # no __post_init__: scenarios outside the hypothesis step too
     stepped.strategy, stepped.trace_level = ScheduledControl({}, strategy.inner), "states"
-    checks, rng, rounds = _Checks(scenario), random.Random(scenario.seed), scenario.rounds
+    rng, rounds = random.Random(scenario.seed), scenario.rounds
     ids, table = {}, []
 
     def intern(state) -> int:
@@ -164,12 +110,15 @@ def explore(scenario, control_sets=None) -> Exploration:
                 end = logical_round(stepped, states, r, rng, Trace(n=scenario.n))
                 end_ids = tuple(intern(end[p]) for p in vertices)
                 for key in keys:
-                    carry, failed = checks.step(key[1:], r, controlled, end)
+                    carry, guarantee, claim, _ = check_round(
+                        scenario, key[1:], r, (controlled,), end
+                    )
+                    failed = [f for f in (guarantee, claim) if f]
                     for ever, schedule in frontier[key]:
                         ever, schedule = ever | controlled, schedule + (controlled,)
                         why = failed
                         if not why and r == rounds:
-                            agreement, validity = checks.final(ever, end)
+                            agreement, validity, _, _ = check_final(scenario, ever, end, 0)
                             if "fail" in (agreement, validity):
                                 why = [f"agreement {agreement}, validity {validity}"]
                         if why:

@@ -242,6 +242,15 @@ def test_cut_set_pair_preconditions():
         cut_set_pair(g, 1, [8, 9, 10, 11, 12], observer=5, m=1)
     with pytest.raises(ValueError, match="observer"):
         cut_set_pair(g, 1, [9, 10, 11, 12], observer=9, m=1)
+    # ids outside the network are named before any other check reads them
+    with pytest.raises(ValueError, match="^observer 99 lies outside the network 1..12$"):
+        cut_set_pair(g, 1, [9, 10, 11, 12], observer=99, m=1)
+    with pytest.raises(ValueError, match="^cut member 0 lies outside the network 1..12$"):
+        cut_set_pair(g, 1, [0, 10, 11, 12], observer=5, m=1)
+    with pytest.raises(ValueError, match="^cut member 9 lies outside the network 1..3$"):
+        cut_set_pair(complete_network(3), 1, [9, 10, 11, 12], observer=2, m=1)
+    with pytest.raises(ValueError, match="^observer 4 lies outside the network 1..3$"):
+        cut_set_pair(complete_network(3), 1, [9, 10, 11, 12], observer=4, m=1)
 
 
 def test_perturbed_pair_diverges():

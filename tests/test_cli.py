@@ -358,8 +358,51 @@ def test_campaign_aggregates(tmp_path, capsys):
     scenario = write(tmp_path, "s.txt", BASELINE)
     code, stdout, _ = invoke(capsys, "campaign", scenario, "--seeds", "50")
     assert code == 0
-    assert "seeds: 50" in stdout
-    assert "fail: 0" in stdout
+    # tallied apart: the source is controlled in more runs than all seven are
+    assert stdout.splitlines() == [
+        "seeds: 50   fail: 0",
+        "agreement: pass 32   vacuous 18   fail 0",
+        "validity: pass 7   vacuous 43   fail 0",
+    ]
+
+
+# the crystallization claim cannot fail inside the hypothesis, so these
+# tests report it through a stand-in checker
+CLAIMS = ["R=2: round 3 summaries p2=(1,1), p3=(0,0)", "R=3: round 5 summaries p2=(1,0)"]
+
+
+def test_run_reports_support_claim_violations(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "check_support_claim", lambda trace, scenario: CLAIMS)
+    code, stdout, _ = invoke(capsys, "run", write(tmp_path, "s.txt", BASELINE))
+    assert code == 1
+    assert [line for line in stdout.splitlines() if line.startswith("support claim")] == [
+        f"support claim violation: {claim}" for claim in CLAIMS]
+    # the claim is the agreement protocol's: a relay run makes none
+    relay = write(tmp_path, "relay.txt", BASELINE.replace("protocol = bare", "protocol = relay"))
+    code, stdout, _ = invoke(capsys, "run", relay)
+    assert code == 0 and "support claim" not in stdout
+
+
+def test_campaign_fails_a_seed_that_violates_the_claim(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "check_support_claim",
+                        lambda trace, scenario: CLAIMS if scenario.seed == 3 else [])
+    code, stdout, _ = invoke(capsys, "campaign", write(tmp_path, "s.txt", BASELINE),
+                             "--seeds", "5")
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[0] == "seeds: 5   fail: 1"
+    assert lines[3:] == ["first failing seed: 3", f"  support claim violation: {CLAIMS[0]}",
+                         "  every processor was controlled at least once"]
+
+
+@pytest.mark.parametrize("strategy", [
+    "alphabet = 3\nstrategy = static 2 constant:2", "strategy = static 2 split:0:1",
+    "strategy = alternating 2 3 fake=0",
+])
+def test_run_takes_lies_inside_the_alphabet(tmp_path, capsys, strategy):
+    scenario = write(tmp_path, "s.txt", BASELINE.replace("strategy = random", strategy))
+    code, stdout, _ = invoke(capsys, "run", scenario)
+    assert code == 0 and "agreement: pass" in stdout
 
 
 def test_campaign_without_seeds_runs_the_file_seed(tmp_path, capsys, monkeypatch):
@@ -530,6 +573,23 @@ def test_run_five_set_pair_swapped(tmp_path, capsys):
     (BASELINE.replace("strategy = random", "strategy = alternating 2 3 fak=0"),
      "strategy: alternating needs fake=V, not 'fak=0'"),
     ("network = inline junk\nm = 1\n[edges]\n1 2\n", "network: unexpected 'junk' after 'inline'"),
+    # a lie the file names must be a plain symbol of the alphabet (2 in pair files)
+    (BASELINE.replace("strategy = random", "strategy = static 2 constant:5"),
+     "strategy: lie 5 is not a plain symbol of the alphabet 0..1"),
+    (BASELINE.replace("strategy = random", "strategy = static 2 constant:empty"),
+     "strategy: lie empty is not a plain symbol of the alphabet 0..1"),
+    (BASELINE.replace("strategy = random", "strategy = static 2 split:0:7"),
+     "strategy: lie 7 is not a plain symbol of the alphabet 0..1"),
+    (BASELINE.replace("strategy = random", "alphabet = 3\nstrategy = static 2 split:3:0"),
+     "strategy: lie 3 is not a plain symbol of the alphabet 0..2"),
+    (BASELINE.replace("strategy = random", "strategy = alternating 2 3 fake=many"),
+     "strategy: lie many is not a plain symbol of the alphabet 0..1"),
+    (FIVE_SET + "fake-value = many\n", "fake-value: lie many is not a plain symbol of the alphabet 0..1"),
+    (FIVE_SET + "fake-value = 2\n", "fake-value: lie 2 is not a plain symbol of the alphabet 0..1"),
+    (CUT_SET.replace("observer = 5", "observer = 99"),
+     "pair: observer 99 lies outside the network 1..12"),
+    (CUT_SET.replace("two-clique 4 4", "complete 3").replace("observer = 5", "observer = 2"),
+     "pair: cut member 9 lies outside the network 1..3"),
 ], ids=[
     "typo", "cut-in-single-run", "strategy-in-pair", "seed-in-pair",
     "fake-value-in-cut-set", "swap-in-cut-set", "swap-not-boolean", "unknown-pair",
@@ -539,7 +599,9 @@ def test_run_five_set_pair_swapped(tmp_path, capsys):
     "empty-protocol", "empty-strategy", "empty-network", "bare-extra", "relay-extra",
     "unknown-protocol", "two-round-extra", "flood-extra", "random-extra", "static-extra",
     "constant-extra-value", "split-missing-value", "alternating-extra", "alternating-not-fake",
-    "inline-extra",
+    "inline-extra", "constant-outside-alphabet", "constant-not-plain", "split-outside-alphabet",
+    "split-outside-alphabet-3", "alternating-not-plain", "five-set-fake-not-plain",
+    "five-set-fake-outside-alphabet", "cut-set-observer-outside", "cut-set-cut-outside",
 ])
 def test_run_rejects_what_the_file_kind_does_not_read(tmp_path, capsys, text, message):
     scenario = write(tmp_path, "s.txt", text)

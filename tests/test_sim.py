@@ -7,7 +7,9 @@ from mobyz import (
     EMPTY,
     NoFaults,
     PairMessage,
+    ProcessorState,
     RandomizedControl,
+    RoundTrace,
     Scenario,
     ScheduledControl,
     Strategy,
@@ -26,7 +28,7 @@ from mobyz import (
 )
 from mobyz.protocol import ProtocolParams
 from mobyz import sim
-from mobyz.sim import StepContext, _round_window, _value_choices
+from mobyz.sim import StepContext, _value_choices
 
 from oracles import round_update
 
@@ -583,23 +585,53 @@ def _lifted_cmm_13(strategy, seed, level="states"):
                     seed=seed, trace_level=level)
 
 
-def test_lifted_guarantee_window_matches_the_bare_one():
-    bare = Scenario(network=complete_network(7), m=1, source_value=ONE,
-                    strategy=NoFaults())
-    for R in range(2, 8):
-        assert _round_window(bare, R) == [2 * R - 2, 2 * R - 1]
-    assert _round_window(bare, 1) == [1]
-    two_round = _lifted_cmm_13(NoFaults(), 0)  # T=2, K=1
-    assert _round_window(two_round, 1) == [1]
-    assert _round_window(two_round, 2) == [3, 4, 5]
-    assert _round_window(two_round, 3) == [7, 8, 9]
+def _flood_two_clique_5_9(strategy):
     g = make_two_clique_network(5, 9)
-    flood = Scenario(network=g, m=1, source_value=ONE, strategy=NoFaults(), mode="lifted",
-                     lifted=lift(flood_scheme(g, 1, 9), ProtocolParams(n=g.n, m=1)))
-    assert (flood.T, flood.K) == (3, 2)
-    assert _round_window(flood, 1) == [1, 2]
-    # sends of logical round 2, receipt of round 2, sends of round 3
-    assert _round_window(flood, 2) == [4, 5, 6, 7, 8]
+    return Scenario(network=g, m=1, source_value=ONE, strategy=strategy, mode="lifted",
+                    lifted=lift(flood_scheme(g, 1, 9), ProtocolParams(n=g.n, m=1)),
+                    trace_level="states")
+
+
+@pytest.mark.parametrize("make, window, last", [
+    (lambda strategy: Scenario(network=complete_network(7), m=1, source_value=ONE,
+                               strategy=strategy), {2, 3}, 6),
+    (lambda strategy: _lifted_cmm_13(strategy, 0), {3, 4, 5}, 8),  # T=2, K=1
+    # T=3, K=2: sends of logical round 2, its receipt, sends of round 3
+    (_flood_two_clique_5_9, {4, 5, 6, 7, 8}, 11),
+], ids=["bare-complete-7", "two-round-cmm-13-6", "flood-two-clique-5-9"])
+def test_pivot_two_anchors_unless_controlled_in_its_window(make, window, last):
+    # the source is controlled in round 1, so pivot 2 anchors the guarantee
+    # from round 4 on exactly when it is honest in every round of its window
+    for rho in range(2, last + 1):
+        sc = make(ScheduledControl({1: {1}, rho: {2}}, Strategy()))
+        verdict = check_agreement(run(sc), sc)
+        assert (verdict.first_stable_round != 4) == (rho in window), rho
+
+
+def _hand_built(last_states):
+    """A two-round trace on `complete 7` whose source is honest and anchors
+    the guarantee in round 1: 4 is controlled in round 1, 5 in round 2, and
+    the run ends in `last_states`."""
+    decided = {p: ProcessorState(decided=ONE) for p in range(1, 8)}
+    return Trace(n=7, rounds=[RoundTrace(1, frozenset({4}), {}, decided),
+                              RoundTrace(2, frozenset({5}), {}, last_states)])
+
+
+def test_hand_built_traces_fail_the_checks_they_break():
+    sc = Scenario(network=complete_network(7), m=1, source_value=ONE, strategy=NoFaults(),
+                  rounds=2)
+    # never-faulty processors disagree while the source stays honest
+    split = {p: ProcessorState(decided=ZERO if p == 3 else ONE) for p in range(1, 8)}
+    verdict = check_agreement(_hand_built(split), sc)
+    assert (verdict.agreement, verdict.validity, verdict.agreed_value) == ("fail", "fail", None)
+    assert verdict.notes == ["never-faulty decisions differ: p1=1, p2=1, p3=0, p6=1, p7=1"]
+    assert verdict.guarantee_violations == ["round 2: decisions ['0', '1'] among [1, 2, 3, 4, 6, 7]"]
+    # every covered processor ends the anchored round undecided
+    verdict = check_agreement(_hand_built({p: ProcessorState() for p in range(1, 8)}), sc)
+    assert (verdict.agreement, verdict.validity, verdict.first_stable_round) == ("pass", "fail", 2)
+    assert verdict.guarantee_violations == ["round 2: decisions ['None'] among [1, 2, 3, 4, 6, 7]"]
+    assert verdict.notes == ["never-faulty processors all terminated undecided",
+                             "agreed None, source sent 1"]
 
 
 @pytest.mark.parametrize("level", ["states", "full"])

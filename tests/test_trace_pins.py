@@ -1,5 +1,6 @@
 """Behaviour pin: SHA-256 digests of `Trace.to_text()` for a fixed scenario set,
-and of `View.to_text()` for three observers of some of them.
+of what the checkers report of each run (`VERDICT_PINS`), and of
+`View.to_text()` for three observers of some of them.
 
 Every trace is a pure function of its scenario, so an engine refactor or
 speedup that keeps behaviour must keep these digests. A change that alters
@@ -9,14 +10,15 @@ New pins are generated on the commit before the change they guard:
 
     PYTHONPATH=src python tests/test_trace_pins.py [NAME ...]
 
-prints the trace digest of every `SCENARIOS` entry and the view digests of
-every `VIEW_PINS` entry, or the digests of only the named entries (view
-digests for those with at least 13 processors), as lines to paste into
-`PINS` and `VIEW_PINS`; it never rewrites either.
+prints the trace and verdict digests of every `SCENARIOS` entry and the
+view digests of every `VIEW_PINS` entry, or the digests of only the named
+entries (view digests for those with at least 13 processors), as lines to
+paste into `PINS`, `VERDICT_PINS` and `VIEW_PINS`; it never rewrites them.
 """
 
 import dataclasses
 import hashlib
+import json
 import sys
 
 import pytest
@@ -27,6 +29,8 @@ from mobyz import (
     ScheduledControl,
     Strategy,
     Value,
+    check_agreement,
+    check_support_claim,
     complete_minus_matching,
     complete_network,
     cut_set_pair,
@@ -281,6 +285,54 @@ PINS = {
 }
 
 
+# SCENARIOS entry -> the digest of `verdict_digest` of its run; generated
+# on the checkers before they became folds of one round-by-round checker
+VERDICT_PINS = {
+    "bare-7-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-7-random-full": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-random-full": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-25-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-25-random-full": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-49-random-states": "1595cfe00b1650e98771ec41062f3a2de7fce789b315b00461fee82e13295d8a",
+    "bare-43-alphabet-3-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-alphabet-1-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-alphabet-3-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-alphabet-6-random-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-alphabet-6-random-full": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-counterfactual-states": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "bare-13-counterfactual-full": "6347db2df7f4e8ef4ca64505c8c1ad0c2fbca10acfdd85dbd3f0f8d16d576a28",
+    "lifted-two-round-13-full": "144588529697f615563f617ac5c024bd223c122e80b6f4a4013bd32306eae304",
+    "lifted-two-round-complete-13-m2-full": "e819e09503aa1067a0ddf823b787334e4ba80b099b0c7ae72f6c28fdbfe2ba60",
+    "lifted-flood-two-clique-5-9-full": "2e9b98c70d70fc95fc82833cc55a2dfe7e1e8cd53e5f1b5436199d8e03f91976",
+    "lifted-two-round-cmm-13-round-one-full": "178eacfa54ef996dbd42e0f455596c29d2b2a5466252d1837afabd65210fcf37",
+    "lifted-flood-two-clique-5-9-round-one-full": "cb3617a99a083ac69b83d0576aa4802c24a289feec62de556173acfe1238a083",
+    "lifted-two-round-cmm-13-states": "144588529697f615563f617ac5c024bd223c122e80b6f4a4013bd32306eae304",
+    "lifted-two-round-cmm-13-alphabet-3-states": "9463fd600d94f0761e580408cdc85c43bb135715db1bccca0aa7297015c7e7e2",
+    "lifted-two-round-cmm-13-alphabet-6-full": "c14cbdd746878455f2de1d20820b18e44b69d96768b9b8f23c2ec624b6d788a1",
+    "lifted-two-round-cmm-19-states": "d496e657505ed37e8aa6dbca757804027ad450dd3756f68f3a0bf076818e111b",
+    "lifted-two-round-complete-13-m2-states": "e819e09503aa1067a0ddf823b787334e4ba80b099b0c7ae72f6c28fdbfe2ba60",
+    "lifted-flood-two-clique-5-9-states": "2e9b98c70d70fc95fc82833cc55a2dfe7e1e8cd53e5f1b5436199d8e03f91976",
+    "five-set-5-1-a": "ea2ed29047bfd7803e2b8b3a3b5cd009abf5ee6aa9bd05f22881312baa198fc7",
+    "five-set-5-1-b": "8926032438e6dd9b9d135adddc1fec91aaad0272c53dc54b24f694336f043820",
+    "cut-set-two-clique-4-4-a": "2c1b56e72d17188ec20f2f6e70d0f1cec22bfc476895b6bd9ed797190c364398",
+    "cut-set-two-clique-4-4-b": "b702d601a2e87f72b19bb0a463a06b1c8b36ac810cfcaee88a021adb5aeed8af",
+    "relay-five-set-15-3-a-states": "ea6aee3e2db9645f09015f97f50c5cf670328bd23a871248f27483055d7b4ffe",
+    "relay-five-set-15-3-b-states": "8926032438e6dd9b9d135adddc1fec91aaad0272c53dc54b24f694336f043820",
+    "relay-five-set-15-3-a-full": "ea6aee3e2db9645f09015f97f50c5cf670328bd23a871248f27483055d7b4ffe",
+    "relay-five-set-15-3-b-full": "8926032438e6dd9b9d135adddc1fec91aaad0272c53dc54b24f694336f043820",
+    "relay-five-set-15-3-swap-a-states": "ea6aee3e2db9645f09015f97f50c5cf670328bd23a871248f27483055d7b4ffe",
+    "relay-five-set-15-3-swap-b-states": "2c1b56e72d17188ec20f2f6e70d0f1cec22bfc476895b6bd9ed797190c364398",
+    "relay-cut-set-two-clique-12-8-a-states": "2c1b56e72d17188ec20f2f6e70d0f1cec22bfc476895b6bd9ed797190c364398",
+    "relay-cut-set-two-clique-12-8-b-states": "4e5725b4276cf366a3212a6960e88425d5efde8f7b59a70e1aced2ebbf7f775c",
+    "relay-cut-set-two-clique-12-8-a-full": "2c1b56e72d17188ec20f2f6e70d0f1cec22bfc476895b6bd9ed797190c364398",
+    "relay-cut-set-two-clique-12-8-b-full": "4e5725b4276cf366a3212a6960e88425d5efde8f7b59a70e1aced2ebbf7f775c",
+    "relay-random-two-clique-4-4-states": "3915291deb31c50f771f42c6a775294a4d61b0f76ad7e66a8ced2ebff9bbd1b4",
+    "relay-random-cycle-9-full": "3915291deb31c50f771f42c6a775294a4d61b0f76ad7e66a8ced2ebff9bbd1b4",
+    "relay-random-two-clique-12-8-m2-full": "22b86f375ea25163d2d497103cb4642fcee0c86ba0ee5ef1a9b9378b21e2c9d6",
+}
+
+
 VIEW_OBSERVERS = (1, 10, 13)
 
 # SCENARIOS entry -> the view digests of VIEW_OBSERVERS, in order; generated
@@ -340,19 +392,29 @@ def trace_digest(scenario) -> str:
     return _digest(run(scenario).to_text())
 
 
+def verdict_digest(trace, scenario) -> str:
+    """The digest of what the checkers report of a run: its verdict record
+    and, outside relay mode, its support-claim violations."""
+    claims = None if scenario.mode == "relay" else check_support_claim(trace, scenario)
+    return _digest(json.dumps([check_agreement(trace, scenario).to_record(), claims]))
+
+
 def view_digests(scenario) -> tuple:
     trace = run(scenario)
     return tuple(_digest(view_of(trace, p).to_text()) for p in VIEW_OBSERVERS)
 
 
 def test_pin_set_is_complete():
-    assert sorted(PINS) == sorted(SCENARIOS)
+    assert sorted(PINS) == sorted(VERDICT_PINS) == sorted(SCENARIOS)
     assert set(VIEW_PINS) <= set(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_trace_digest_pinned(name):
-    assert trace_digest(SCENARIOS[name]()) == PINS[name]
+    scenario = SCENARIOS[name]()
+    trace = run(scenario)
+    assert _digest(trace.to_text()) == PINS[name]
+    assert verdict_digest(trace, scenario) == VERDICT_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(VIEW_PINS))
@@ -361,8 +423,13 @@ def test_view_digests_pinned(name):
 
 
 def main(names) -> None:
+    verdicts = []
     for name in names or SCENARIOS:
-        print(f'    "{name}": "{trace_digest(SCENARIOS[name]())}",')
+        scenario = SCENARIOS[name]()
+        trace = run(scenario)
+        print(f'    "{name}": "{_digest(trace.to_text())}",')
+        verdicts.append(f'    "{name}": "{verdict_digest(trace, scenario)}",')
+    print("\n".join(verdicts))
     for name in names or VIEW_PINS:
         scenario = SCENARIOS[name]()
         if scenario.n >= max(VIEW_OBSERVERS):  # smaller networks lack the observers
